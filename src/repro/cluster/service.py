@@ -28,8 +28,8 @@ core *unchanged* and multiplies it:
   .retarget`), so lifetime budgets hold cluster-wide with no per-job
   global lock.
 
-The service implements :class:`~repro.serve.ServiceProtocol`
-(``submit`` / ``flush`` / ``pending_jobs`` / ``stats`` / ``close``) —
+The service implements :class:`~repro.serve.ServiceProtocol` (the
+submit doors, ``flush``, stats, the metrics scrapes and ``close``) —
 the explicit contract :class:`~repro.serve.server.LocalGateway` and the
 TCP :class:`~repro.serve.server.ServeServer` are typed against — so a
 gateway fronts a whole cluster without changing a line of gateway code.
@@ -343,39 +343,11 @@ class ClusterService:
             for spec in self.tenant_specs
         }
 
-    def _route_span(self, request: JobRequest):
-        """Open the routing span and thread it onto the request.
-
-        The shard's ``serve.job`` span parents under it, so one job
-        submitted through the cluster yields a single tree:
-        ``cluster.route`` → ``serve.job`` → ``runtime.group``.
-        """
-        if self._spans is None:
-            return None
-        span = start_span(
-            "cluster.route",
-            trace_id=request.trace_id,
-            parent_id=request.parent_span,
-            tenant=request.tenant,
-            job=request.job_id,
-        )
-        request.trace_id = span.trace_id
-        request.parent_span = span.span_id
-        return span
-
     def submit(self, request: JobRequest | dict) -> JobReport:
         """Admit one job on its owning shard (consistent-hash routed)."""
-        if self._closed:
-            raise SchedulerError("cluster service is closed")
-        if isinstance(request, dict):
-            request = JobRequest.from_dict(request)
-        span = self._route_span(request)
-        shard = self.route(request)
-        worker = self.shards[shard]
-        report = worker.call(worker.service.submit, request)
-        if span is not None:
-            span.end(self._spans, shard=shard, status=report.status)
-        return report
+        return self._on_shard(
+            request, lambda service, req: service.submit(req)
+        )
 
     def submit_anytime(
         self, request: JobRequest | dict, *, on_round=None
@@ -387,23 +359,42 @@ class ClusterService:
         ledger is settled after, so cluster-wide budget enforcement and
         parity hold for the iterative shape too.
         """
+
+        def run(service: TaskService, req: JobRequest) -> JobReport:
+            for state in service.tenants.values():
+                state.replenish()
+            return service.submit_anytime(req, on_round=on_round)
+
+        report = self._on_shard(request, run)
+        self.ledger.settle_all()
+        return report
+
+    def _on_shard(self, request: JobRequest | dict, call) -> JobReport:
+        """Route one request and run ``call(service, request)`` on the
+        owning shard's thread, inside a ``cluster.route`` span.
+
+        The shard's ``serve.job`` span parents under the routing span,
+        so one job submitted through the cluster yields a single tree:
+        ``cluster.route`` → ``serve.job`` → ``runtime.group``.
+        """
         if self._closed:
             raise SchedulerError("cluster service is closed")
         if isinstance(request, dict):
             request = JobRequest.from_dict(request)
-        span = self._route_span(request)
+        span = None
+        if self._spans is not None:
+            span = start_span(
+                "cluster.route",
+                trace_id=request.trace_id,
+                parent_id=request.parent_span,
+                tenant=request.tenant,
+                job=request.job_id,
+            )
+            request.trace_id = span.trace_id
+            request.parent_span = span.span_id
         shard = self.route(request)
         worker = self.shards[shard]
-
-        def run() -> JobReport:
-            for state in worker.service.tenants.values():
-                state.replenish()
-            return worker.service.submit_anytime(
-                request, on_round=on_round
-            )
-
-        report = worker.call(run)
-        self.ledger.settle_all()
+        report = worker.call(call, worker.service, request)
         if span is not None:
             span.end(self._spans, shard=shard, status=report.status)
         return report

@@ -34,12 +34,17 @@ class ServiceProtocol(Protocol):
     *presence*, not signatures.
     """
 
-    def submit(self, request: Any) -> str:
-        """Queue one job; returns its job id."""
+    def submit(self, request: Any) -> Any:
+        """Admit one job; returns its :class:`JobReport` (``queued``
+        until the round that executes it fills it in)."""
+        ...
+
+    def submit_anytime(self, request: Any, *, on_round: Any = None) -> Any:
+        """Run one anytime job to completion; returns its report."""
         ...
 
     def flush(self) -> list[Any]:
-        """Run every queued job to completion; returns their reports."""
+        """Run one execution round; returns the reports it settled."""
         ...
 
     @property
@@ -49,6 +54,19 @@ class ServiceProtocol(Protocol):
 
     def stats(self) -> dict[str, Any]:
         """Service-level counters (schema owned by the implementation)."""
+        ...
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """Stable-JSON snapshot of the service's metrics registry."""
+        ...
+
+    def metrics_text(self) -> str:
+        """Prometheus text exposition of the same registry."""
+        ...
+
+    @property
+    def span_recorder(self) -> Any:
+        """The service's span sink (``None`` when telemetry is off)."""
         ...
 
     def close(self) -> None:

@@ -2,7 +2,10 @@
 
 Every serving claim this repo makes — streams degrade mid-stream
 instead of dropping frames, identical frames replay from cache for
-free, anytime jobs refine monotonically and stop at the deadline,
+free, anytime jobs refine (the jacobi curve monotonically; for
+k-means the last round is no worse than the first, since Lloyd lowers
+its objective rather than the distance to the converged centroids)
+and stop at the deadline or on an early take,
 faults degrade answers without corrupting them, the cluster ledger
 stays in parity — is pinned here as a **scenario**: one registered
 generator that runs real traffic through a real service, collects the

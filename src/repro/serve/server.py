@@ -47,9 +47,10 @@ from ..config import RuntimeConfig
 from ..obs import MetricsRegistry, SpanRecorder, obs_enabled, start_span
 from ..runtime.errors import ConfigError, RegistryError, SchedulerError
 from ..runtime.scheduler import Scheduler
+from ..runtime.task import ExecutionKind, TaskCost
 from . import ServiceProtocol
 from .cache import ApproxResultCache, _ratio_key
-from .kernels import ServableKernel, get_servable
+from .kernels import AnytimeServable, ServableKernel, get_servable
 from .tenants import TenantSpec, TenantState
 
 __all__ = [
@@ -347,25 +348,41 @@ class RoundResult:
 
 @dataclass
 class _Admitted:
-    """Queue entry: an admitted job waiting for its execution round."""
+    """An admitted job, and the unit it executes as in each round.
+
+    Admission (:meth:`TaskService._admit`) fills the job's identity;
+    each execution round names the unit (``label``, ``span``), sets its
+    served ratio on ``report.ratio_served`` and its ``plan`` (or the
+    compile tier's ``splan``), and the round executor
+    (:meth:`TaskService._run_round`) leaves ``results``, ``counts``
+    and ``energy_j`` behind.
+    """
 
     request: JobRequest
     kernel: ServableKernel
+    #: The request's arguments, canonicalised once at admission.
+    args: dict
     digest: str
     report: JobReport
+    state: TenantState
     t_submit_engine: float
     t_submit_wall: float
-    plan: Any
+    plan: Any = None
+    #: Streaming: the owning stream's admission state (else ``None``).
+    stream_state: StreamState | None = None
     label: str = ""
-    tasks: list = field(default_factory=list)
     #: Compile-tier :class:`~repro.compiler.specialize.SpecializedPlan`
     #: when the job was specialized at spawn time (``None`` otherwise).
     splan: Any = None
-    #: Streaming: the owning stream's admission state (else ``None``).
-    stream_state: StreamState | None = None
-    #: Observability: the job's ``runtime.group`` span while its task
-    #: group executes (``None`` when telemetry is off).
+    #: Observability: the unit's group span while its task group
+    #: executes (``None`` when telemetry is off).
     span: Any = None
+    tasks: list = field(default_factory=list)
+    #: Round outcome: task results in plan order, the logical
+    #: ``(total, accurate, approximate, dropped)`` counts, and Joules.
+    results: list = field(default_factory=list)
+    counts: tuple = (0, 0, 0, 0)
+    energy_j: float = 0.0
 
     @property
     def n_tasks_est(self) -> int:
@@ -743,6 +760,39 @@ class TaskService:
         *same object* is filled in by the job's execution round (see
         :meth:`flush`), so callers may simply hold on to it.
         """
+        return self._serve_job(request, anytime=False)
+
+    def submit_anytime(
+        self,
+        request: JobRequest | dict,
+        *,
+        on_round: Any = None,
+    ) -> JobReport:
+        """Run one anytime/iterative job to its deadline, synchronously.
+
+        The kernel must expose the anytime surface
+        (:class:`~repro.serve.kernels.AnytimeServable`): a mutable
+        solution state refined by one task round at a time.  Each round
+        spawns the kernel's round plan as its own task group
+        (``tenant/job#rN``), settles energy/quality from the round's
+        trace window, appends to ``report.round_quality``, and invokes
+        ``on_round`` with a :class:`RoundResult` — returning ``False``
+        from the callback takes the current answer and stops (the
+        "early take").  Iteration also stops when ``deadline_s`` of
+        engine time elapses or the tenant's budget runs dry; the report
+        always carries the best answer so far, never an error.
+
+        Runs on the caller's thread (the gateway's service thread),
+        serialized with :meth:`flush` rounds by construction.
+        """
+        return self._serve_job(request, anytime=True, on_round=on_round)
+
+    def _serve_job(
+        self, request: JobRequest | dict, *, anytime: bool, on_round=None
+    ) -> JobReport:
+        """Both submit doors: the job's ``serve.job`` span around
+        :meth:`_admit` and the shape's continuation (queue a batch job
+        or stream frame, or run an anytime job's rounds)."""
         if self._closed:
             raise SchedulerError("service is closed")
         if isinstance(request, dict):
@@ -760,10 +810,17 @@ class TaskService:
                 tenant=request.tenant,
                 job=request.job_id,
                 kernel=request.kernel,
+                **({"anytime": True} if anytime else {}),
             )
             request.trace_id = span.trace_id
             self._job_spans[request.job_id] = span
-        report = self._submit_inner(request)
+        report = self._admit(request, anytime=anytime)
+        if isinstance(report, _Admitted):
+            report = (
+                self._run_anytime(report, on_round)
+                if anytime
+                else self._enqueue(report)
+            )
         if report.status != "queued":
             if span is not None:
                 # Close only the span THIS admission opened — a
@@ -774,7 +831,19 @@ class TaskService:
                 self._obs_count(report)
         return report
 
-    def _submit_inner(self, request: JobRequest) -> JobReport:
+    def _admit(
+        self, request: JobRequest, *, anytime: bool
+    ) -> "JobReport | _Admitted":
+        """The one admission ladder every job shape climbs.
+
+        The checks run once, in order: unknown tenant (404), duplicate
+        id (409), unknown kernel (404), wrong shape (400), bad args
+        (400).  Then comes each shape's own tail: stream frames enter
+        their lane; batch and anytime jobs meet the tenant's budget and
+        queue limits (429), and only batch jobs may fall back to a
+        cached answer.  Returns the finished report, or the admitted
+        job with its arguments canonicalised once.
+        """
         report = JobReport(
             job_id=request.job_id,
             tenant=request.tenant,
@@ -783,80 +852,86 @@ class TaskService:
         )
         state = self._tenants.get(request.tenant)
         if state is None:
-            report.status = "rejected-unknown-tenant"
-            report.code = 404
-            report.detail = f"unknown tenant {request.tenant!r}"
-            return report
-        if request.job_id in self._active_ids:
-            report.status = "rejected-duplicate-id"
-            report.code = 409
-            report.detail = (
-                f"job id {request.job_id!r} is already queued"
+            return self._reject(
+                report, None, "rejected-unknown-tenant", 404,
+                f"unknown tenant {request.tenant!r}",
             )
-            state.rejected += 1
-            return report
+        if request.job_id in self._active_ids:
+            return self._reject(
+                report, state, "rejected-duplicate-id", 409,
+                f"job id {request.job_id!r} is already queued",
+            )
         try:
             kernel = self._kernel(request.kernel)
         except (RegistryError, ConfigError) as exc:
-            report.status = "rejected-unknown-kernel"
-            report.code = 404
-            report.detail = str(exc)
-            state.rejected += 1
-            return report
-        try:
-            # Digest only: the shedding paths below must stay cheap —
-            # the full plan (input data and all) is built only for
-            # admitted jobs.
-            digest = kernel.digest(request.args)
-        except ConfigError as exc:
-            report.status = "rejected-bad-args"
-            report.code = 400
-            report.detail = str(exc)
-            state.rejected += 1
-            return report
-
-        if request.anytime:
-            report.status = "rejected-bad-shape"
-            report.code = 400
-            report.detail = (
+            return self._reject(
+                report, state, "rejected-unknown-kernel", 404, str(exc)
+            )
+        if anytime and not isinstance(kernel, AnytimeServable):
+            return self._reject(
+                report, state, "rejected-not-anytime", 400,
+                f"kernel {kernel.name!r} has no anytime surface",
+            )
+        if not anytime and request.anytime:
+            return self._reject(
+                report, state, "rejected-bad-shape", 400,
                 "anytime jobs (rounds > 1 / deadline_s) go through "
-                "submit_anytime()"
+                "submit_anytime()",
             )
-            state.rejected += 1
-            return report
-        if request.stream is not None:
-            return self._submit_stream_frame(
-                request, state, kernel, digest, report
+        try:
+            # Canonical args and digest only: the shedding paths below
+            # must stay cheap — the full plan (input data and all) is
+            # built only for admitted jobs.
+            args = kernel.canonical_args(request.args)
+        except ConfigError as exc:
+            return self._reject(
+                report, state, "rejected-bad-args", 400, str(exc)
             )
-
+        adm = _Admitted(
+            request=request,
+            kernel=kernel,
+            args=args,
+            digest=kernel.digest(args),
+            report=report,
+            state=state,
+            t_submit_engine=self._sched.engine.master_time,
+            t_submit_wall=_time.perf_counter(),
+        )
+        if request.stream is not None and not anytime:
+            return self._admit_frame(adm)
         if state.over_budget or state.saturated:
             reason = "budget" if state.over_budget else "queue"
             entry = None
-            if state.spec.degrade_to_cache:
+            if not anytime and state.spec.degrade_to_cache:
                 # Load shedding: any same-work answer at or below the
                 # requested quality beats burning energy or erroring.
                 entry = self.cache.get_degraded(
-                    kernel.name, digest, max_ratio=request.ratio
+                    kernel.name, adm.digest, max_ratio=request.ratio
                 )
             if entry is not None:
                 self._serve_cached(report, state, entry)
                 report.detail = f"over-{reason} -> cache"
                 return report
-            report.status = f"rejected-{reason}"
-            report.code = 429
-            report.detail = (
+            return self._reject(
+                report, state, f"rejected-{reason}", 429,
                 f"tenant {state.spec.name!r} over energy budget"
                 if reason == "budget"
-                else f"tenant queue full ({state.spec.max_pending})"
+                else f"tenant queue full ({state.spec.max_pending})",
             )
-            state.rejected += 1
-            return report
+        return adm
 
-        return self._enqueue(request, state, kernel, digest, report)
-
-    def _submit_stream_frame(
-        self, request, state: TenantState, kernel, digest, report
+    @staticmethod
+    def _reject(
+        report: JobReport, state: TenantState | None, status: str,
+        code: int, detail: str,
     ) -> JobReport:
+        """Finish ``report`` as a refusal counted against ``state``."""
+        report.status, report.code, report.detail = status, code, detail
+        if state is not None:
+            state.rejected += 1
+        return report
+
+    def _admit_frame(self, adm: _Admitted) -> "JobReport | _Admitted":
         """Admit one frame of an ordered stream.
 
         Streams have their own admission lane (see :class:`StreamState`):
@@ -867,6 +942,7 @@ class TaskService:
         A frame with a cached answer at or below the requested ratio is
         served from cache for free, whatever the budget state.
         """
+        request, report, state = adm.request, adm.report, adm.state
         key = (request.tenant, request.stream)
         ss = self._streams.get(key)
         if ss is None:
@@ -876,96 +952,78 @@ class TaskService:
         frame = request.frame if request.frame is not None else ss.next_frame
         report.stream = request.stream
         report.frame = frame
+        refusal = None
         if frame != ss.next_frame:
-            report.status = "rejected-out-of-order"
-            report.code = 409
-            report.detail = (
+            refusal = (
+                "rejected-out-of-order", 409,
                 f"stream {request.stream!r} expects frame "
-                f"{ss.next_frame}, got {frame}"
+                f"{ss.next_frame}, got {frame}",
             )
-            state.rejected += 1
-            ss.rejected += 1
-            if self._m_stream_rejected is not None:
-                self._m_stream_rejected.labels(
-                    request.tenant, request.stream
-                ).inc()
-            return report
-        if ss.inflight >= ss.max_inflight:
-            report.status = "rejected-stream-backpressure"
-            report.code = 429
-            report.detail = (
+        elif ss.inflight >= ss.max_inflight:
+            refusal = (
+                "rejected-stream-backpressure", 429,
                 f"stream {request.stream!r} window full "
                 f"({ss.max_inflight} frames in flight); retry frame "
-                f"{frame}"
+                f"{frame}",
             )
-            state.rejected += 1
+        if refusal is not None:
             ss.rejected += 1
             if self._m_stream_rejected is not None:
                 self._m_stream_rejected.labels(
                     request.tenant, request.stream
                 ).inc()
-            return report
-        # Identical frames replay from the cache at zero energy — the
-        # re-submission path the regression test pins down.
-        entry = self.cache.get_degraded(
-            kernel.name,
-            digest,
-            max_ratio=max(request.ratio, state.spec.ratio_floor),
-        )
-        if entry is not None:
-            ss.next_frame = frame + 1
-            ss.frames += 1
-            if self._m_stream_frames is not None:
-                self._m_stream_frames.labels(
-                    request.tenant, request.stream
-                ).inc()
-            self._serve_cached(report, state, entry)
-            report.detail = f"stream frame {frame} replayed from cache"
-            return report
+            return self._reject(report, state, *refusal)
         ss.next_frame = frame + 1
         ss.frames += 1
         if self._m_stream_frames is not None:
             self._m_stream_frames.labels(
                 request.tenant, request.stream
             ).inc()
-        return self._enqueue(
-            request, state, kernel, digest, report, stream_state=ss
+        # Identical frames replay from the cache at zero energy — the
+        # re-submission path the regression test pins down.
+        entry = self.cache.get_degraded(
+            adm.kernel.name,
+            adm.digest,
+            max_ratio=max(request.ratio, state.spec.ratio_floor),
         )
+        if entry is not None:
+            self._serve_cached(report, state, entry)
+            report.detail = f"stream frame {frame} replayed from cache"
+            return report
+        adm.stream_state = ss
+        return adm
 
-    def _enqueue(
-        self, request, state: TenantState, kernel, digest, report,
-        stream_state: StreamState | None = None,
-    ) -> JobReport:
-        plan = kernel.plan(request.args)
-        # Seed the tenant's energy model from the analytic plan cost so
-        # the very first governor step has something to project with.
-        if state.governor is not None and state.e_acc_j is None:
-            cost = _plan_cost(plan)
-            ops = self._machine.ops_per_second
-            state.e_acc_j = cost.accurate / ops * self._watts
-            state.e_apx_j = cost.approximate / ops * self._watts
-        admitted = _Admitted(
-            request=request,
-            kernel=kernel,
-            digest=digest,
-            report=report,
-            t_submit_engine=self._sched.engine.master_time,
-            t_submit_wall=_time.perf_counter(),
-            plan=plan,
-            stream_state=stream_state,
-        )
-        if request.tenant not in self._queues:
-            self._queues[request.tenant] = []
-            self._rr.append(request.tenant)
-        self._queues[request.tenant].append(admitted)
-        self._active_ids.add(request.job_id)
-        if stream_state is None:
+    def _enqueue(self, adm: _Admitted) -> JobReport:
+        adm.plan = adm.kernel.plan(adm.args)
+        self._seed_energy_model(adm.state, adm.plan)
+        tenant = adm.request.tenant
+        if tenant not in self._queues:
+            self._queues[tenant] = []
+            self._rr.append(tenant)
+        self._queues[tenant].append(adm)
+        self._active_ids.add(adm.request.job_id)
+        if adm.stream_state is None:
             # Stream frames count against their stream's window, not
             # the tenant's batch queue cap.
-            state.pending += 1
+            adm.state.pending += 1
         else:
-            stream_state.inflight += 1
-        return report
+            adm.stream_state.inflight += 1
+        return adm.report
+
+    def _seed_energy_model(self, state: TenantState, plan) -> None:
+        """Seed a governed tenant's energy model from one plan's
+        analytic per-task cost, so the very first governor step has
+        something to project with."""
+        if state.governor is None or state.e_acc_j is not None:
+            return
+        cost = plan.cost
+        if callable(cost) and not isinstance(cost, TaskCost):
+            cost = cost(*plan.args_list[0]) if plan.args_list else None
+        if not isinstance(cost, TaskCost):
+            cost = TaskCost(0.0)
+        ops = self._machine.ops_per_second
+        state.e_acc_j = cost.accurate / ops * self._watts
+        state.e_apx_j = cost.approximate / ops * self._watts
 
     def _serve_cached(self, report, state: TenantState, entry) -> None:
         exact = entry.ratio >= report.ratio_requested
@@ -1026,8 +1084,7 @@ class TaskService:
         batch = self._take_round()
         if not batch:
             return []
-        sched = self._sched
-        now = sched.engine.master_time
+        now = self._sched.engine.master_time
 
         # Pre-steer: the governor solve needs the tasks this round will
         # issue to still count as "remaining", so it runs before spawn.
@@ -1045,15 +1102,14 @@ class TaskService:
         leaders: dict[tuple, _Admitted] = {}
         followers: list[tuple[_Admitted, _Admitted]] = []
         for adm in batch:
-            state = self._tenants[adm.request.tenant]
+            state = adm.state
             if adm.stream_state is None:
                 state.pending -= 1
             else:
                 adm.stream_state.inflight -= 1
             self._active_ids.discard(adm.request.job_id)
             requested = adm.request.ratio
-            effective = min(requested, state.ratio)
-            effective = max(effective, state.spec.ratio_floor)
+            effective = state.served_ratio(requested)
             if adm.stream_state is not None and state.over_budget:
                 # The streaming contract: an over-budget tenant's
                 # frames degrade to the floor of their quality band,
@@ -1097,8 +1153,7 @@ class TaskService:
                 followers.append((adm, leader))
                 continue
             leaders[work_key] = adm
-            label = f"{adm.request.tenant}/{adm.request.job_id}"
-            self.job_meta[label] = {
+            meta = {
                 "tenant": adm.request.tenant,
                 "job": adm.request.job_id,
                 "kernel": adm.kernel.name,
@@ -1106,49 +1161,59 @@ class TaskService:
             if adm.request.stream is not None:
                 # Chrome traces distinguish job shapes: stream frames
                 # carry their lane and frame index in group_meta.
-                self.job_meta[label]["stream"] = adm.request.stream
-                self.job_meta[label]["frame"] = adm.report.frame
-            jspan = self._job_spans.get(adm.request.job_id)
-            if jspan is not None:
-                adm.span = jspan.child("runtime.group", label=label)
-                self.job_meta[label]["trace_id"] = jspan.trace_id
-                self.job_meta[label]["span_id"] = adm.span.span_id
-            plan = adm.plan
-            sched.init_group(label, effective)
-            splan = None
+                meta["stream"] = adm.request.stream
+                meta["frame"] = adm.report.frame
+            self._open_unit(
+                adm,
+                f"{adm.request.tenant}/{adm.request.job_id}",
+                meta,
+                "runtime.group",
+            )
             if self._specializer is not None:
                 # The served ratio is decided here, so this is where
                 # the compile tier folds the significance branch away;
                 # a None return (unspecializable body) falls back to
                 # the interpreted spawn path.
-                splan = self._specializer.specialize_plan(
+                adm.splan = self._specializer.specialize_plan(
                     adm.kernel.name,
-                    plan,
+                    adm.plan,
                     ratio=effective,
                     n_chunks=self.config.n_workers,
                 )
-            if splan is not None:
-                adm.splan = splan
-                self.job_meta[label]["specialized"] = True
-                self.job_meta[label]["n_chunks"] = splan.n_chunks
-                adm.tasks = sched.spawn_specialized(splan, label=label)
-            else:
-                adm.tasks = sched.spawn_many(
-                    plan.fn,
-                    plan.args_list,
-                    significance=plan.significance,
-                    approxfun=plan.approxfun,
-                    label=label,
-                    cost=plan.cost,
-                )
-            adm.label = label
+                if adm.splan is not None:
+                    meta["specialized"] = True
+                    meta["n_chunks"] = adm.splan.n_chunks
             to_run.append(adm)
 
-        if to_run:
-            t_end = sched.taskwait()
-        else:
-            t_end = now
-        self._settle(to_run, t_end)
+        t_end = self._run_round(to_run)
+        for adm in to_run:
+            report = adm.report
+            report.status = "executed"
+            report.code = 200
+            (
+                report.tasks_total,
+                report.accurate,
+                report.approximate,
+                report.dropped,
+            ) = adm.counts
+            report.energy_j = adm.energy_j
+            report.output = adm.kernel.combine(adm.args, adm.results)
+            if self.compute_quality:
+                report.quality = adm.kernel.quality(
+                    self._reference(adm.kernel, adm.digest, adm.args),
+                    report.output,
+                )
+            self._finish_latency(adm, t_end)
+            adm.state.executed += 1
+            self.cache.put(
+                adm.kernel.name,
+                adm.digest,
+                report.ratio_served,
+                report.output,
+                quality=report.quality,
+                energy_j=adm.energy_j,
+            )
+            self._obs_finish(report)
         for adm, leader in followers:
             led = leader.report
             report = adm.report
@@ -1160,7 +1225,7 @@ class TaskService:
             report.energy_j = 0.0
             report.detail = f"coalesced with {led.job_id}"
             self._finish_latency(adm, t_end)
-            self._tenants[adm.request.tenant].coalesced += 1
+            adm.state.coalesced += 1
             self._obs_finish(report)
         self._rounds += 1
         if self._m_rounds is not None:
@@ -1173,6 +1238,20 @@ class TaskService:
             0.0, _time.perf_counter() - adm.t_submit_wall
         )
 
+    def _open_unit(
+        self, adm: _Admitted, label: str, meta: dict, span_name: str,
+        **span_attrs,
+    ) -> None:
+        """Name one round unit: its task-group label, its chrome-trace
+        ``job_meta`` row, and its group span under the job's span."""
+        adm.label = label
+        self.job_meta[label] = meta
+        jspan = self._job_spans.get(adm.request.job_id)
+        if jspan is not None:
+            adm.span = jspan.child(span_name, label=label, **span_attrs)
+            meta["trace_id"] = jspan.trace_id
+            meta["span_id"] = adm.span.span_id
+
     def _window_busy(self) -> dict[tuple[str, Any], float]:
         """Per-(group, kind) busy seconds since the last window, and
         advance the window cursor."""
@@ -1184,97 +1263,97 @@ class TaskService:
         self._seg_cursor = len(segments)
         return busy
 
-    def _settle(self, ran: list[_Admitted], t_end: float) -> None:
-        """Carve the round's trace window into per-job outcomes."""
+    def _run_round(self, units: list[_Admitted]) -> float:
+        """The round executor every job shape runs on.
+
+        Each unit arrives with its group ``label``, its served ratio
+        (``report.ratio_served``), a ``plan`` or compile-tier
+        ``splan``, and its open group ``span``.  The executor opens
+        every unit's task group, spawns the lot, waits once, and
+        carves the round's trace window into per-unit outcomes: it
+        charges each tenant, feeds its energy model, closes the group
+        span and recycles the task descriptors.  Each unit leaves with
+        ``results`` (in plan order), ``counts`` (logical total,
+        accurate, approximate, dropped) and ``energy_j``.  Returns the
+        engine time the round ended at.
+        """
+        sched = self._sched
+        if not units:
+            return sched.engine.master_time
+        for u in units:
+            sched.init_group(u.label, u.report.ratio_served)
+            if u.splan is not None:
+                u.tasks = sched.spawn_specialized(u.splan, label=u.label)
+            else:
+                plan = u.plan
+                u.tasks = sched.spawn_many(
+                    plan.fn,
+                    plan.args_list,
+                    significance=plan.significance,
+                    approxfun=plan.approxfun,
+                    label=u.label,
+                    cost=plan.cost,
+                )
+        t_end = sched.taskwait()
         busy = self._window_busy()
-
-        from ..runtime.task import ExecutionKind
-
         per_tenant: dict[str, dict[str, list[float]]] = {}
-        for adm in ran:
-            label = adm.label
-            group = self._sched.groups.get(label)
-            busy_acc = busy.get((label, ExecutionKind.ACCURATE), 0.0)
-            busy_apx = busy.get((label, ExecutionKind.APPROXIMATE), 0.0)
-            if adm.splan is not None:
+        for u in units:
+            busy_acc = busy.get((u.label, ExecutionKind.ACCURATE), 0.0)
+            busy_apx = busy.get((u.label, ExecutionKind.APPROXIMATE), 0.0)
+            splan = u.splan
+            if splan is not None:
                 # Specialized chunks all execute as forced-accurate
                 # tasks; apportion the job's busy time by the plan's
                 # per-kind work shares so the tenant's e_acc/e_apx
-                # energy models stay calibrated.
-                w_acc = adm.splan.work_acc
-                w_apx = adm.splan.work_apx
-                w_tot = w_acc + w_apx
+                # energy models stay calibrated.  Counts are the
+                # *logical* ones from the folded decision vector, and
+                # chunk results scatter back to element order.
+                w_tot = splan.work_acc + splan.work_apx
                 if w_tot > 0.0:
                     busy_tot = busy_acc + busy_apx
-                    busy_acc = busy_tot * (w_acc / w_tot)
+                    busy_acc = busy_tot * (splan.work_acc / w_tot)
                     busy_apx = busy_tot - busy_acc
-            energy_j = (busy_acc + busy_apx) * self._watts
-
-            report = adm.report
-            report.status = "executed"
-            report.code = 200
-            if adm.splan is not None:
-                # Specialized jobs run as a handful of chunk tasks;
-                # report the *logical* task counts from the folded
-                # decision vector, and scatter the chunk results back
-                # to element order before combining.
-                splan = adm.splan
-                report.tasks_total = splan.n_tasks
-                report.accurate = splan.accurate
-                report.approximate = splan.approximate
-                report.dropped = splan.dropped
-                results = splan.gather([t.result for t in adm.tasks])
+                u.counts = (
+                    splan.n_tasks,
+                    splan.accurate,
+                    splan.approximate,
+                    splan.dropped,
+                )
+                u.results = splan.gather([t.result for t in u.tasks])
             else:
-                report.tasks_total = group.spawned
-                report.accurate = group.accurate_count
-                report.approximate = group.approx_count
-                report.dropped = group.dropped_count
-                results = [t.result for t in adm.tasks]
-            report.energy_j = energy_j
-            report.output = adm.kernel.combine(adm.request.args, results)
-            if self.compute_quality:
-                report.quality = adm.kernel.quality(
-                    self._reference(
-                        adm.kernel, adm.digest, adm.request.args
-                    ),
-                    report.output,
+                group = sched.groups.get(u.label)
+                u.counts = (
+                    group.spawned,
+                    group.accurate_count,
+                    group.approx_count,
+                    group.dropped_count,
                 )
-            self._finish_latency(adm, t_end)
-            if adm.span is not None:
-                adm.span.end(
-                    self._spans,
-                    tasks=report.tasks_total,
-                    accurate=report.accurate,
-                    approximate=report.approximate,
-                    dropped=report.dropped,
-                    energy_j=energy_j,
-                )
-
-            state = self._tenants[adm.request.tenant]
-            state.executed += 1
-            state.charge(energy_j)
+                u.results = [t.result for t in u.tasks]
+            u.energy_j = (busy_acc + busy_apx) * self._watts
+            u.state.charge(u.energy_j)
             if self._m_energy is not None:
-                self._m_energy.labels(adm.request.tenant).inc(energy_j)
-            self.cache.put(
-                adm.kernel.name,
-                adm.digest,
-                report.ratio_served,
-                report.output,
-                quality=report.quality,
-                energy_j=energy_j,
-            )
+                self._m_energy.labels(u.request.tenant).inc(u.energy_j)
+            total, accurate, approximate, dropped = u.counts
+            if u.span is not None:
+                u.span.end(
+                    self._spans,
+                    tasks=total,
+                    accurate=accurate,
+                    approximate=approximate,
+                    dropped=dropped,
+                    energy_j=u.energy_j,
+                )
             bucket = per_tenant.setdefault(
-                adm.request.tenant,
+                u.request.tenant,
                 {"acc": [0.0, 0], "apx": [0.0, 0]},
             )
             bucket["acc"][0] += busy_acc
-            bucket["acc"][1] += report.accurate
+            bucket["acc"][1] += accurate
             bucket["apx"][0] += busy_apx
             # Dropped tasks cost (and would cost) nothing; fold them in
             # with the approximate basket so e_apx reflects "what a
             # degraded task costs" on this tenant's mix.
-            bucket["apx"][1] += report.approximate + report.dropped
-            self._obs_finish(report)
+            bucket["apx"][1] += approximate + dropped
 
         for name, buckets in per_tenant.items():
             state = self._tenants[name]
@@ -1290,26 +1369,27 @@ class TaskService:
             from ..compiler.specialize import profile_snapshot
 
             prof_by_kernel: dict[str, dict] = {}
-            for adm in ran:
-                if adm.splan is None:
+            for u in units:
+                if u.splan is None:
                     continue
-                name = adm.kernel.name
+                name = u.kernel.name
                 if name not in prof_by_kernel:
                     prof_by_kernel[name] = profile_snapshot(
                         kernel=name, clear=True
                     )
                 if prof_by_kernel[name]:
-                    self.job_meta[adm.label]["profile"] = (
+                    self.job_meta[u.label]["profile"] = (
                         prof_by_kernel[name]
                     )
 
-        # Results are harvested and reports settled: recycle the round's
-        # descriptors so a long-lived service does not grow one Task per
-        # executed job forever.
-        if not self._sched.retains_tasks:
-            for adm in ran:
-                self._sched.release_tasks(adm.tasks)
-                adm.tasks = []
+        # Results are harvested: recycle the round's descriptors so a
+        # long-lived service does not grow one Task per executed job
+        # forever.
+        if not sched.retains_tasks:
+            for u in units:
+                sched.release_tasks(u.tasks)
+                u.tasks = []
+        return t_end
 
     def _reference(
         self,
@@ -1341,238 +1421,81 @@ class TaskService:
         return ref
 
     # -- anytime / iterative jobs ------------------------------------------
-    def submit_anytime(
-        self,
-        request: JobRequest | dict,
-        *,
-        on_round: Any = None,
-    ) -> JobReport:
-        """Run one anytime/iterative job to its deadline, synchronously.
-
-        The kernel must expose the anytime surface
-        (:class:`~repro.serve.kernels.AnytimeServable`): a mutable
-        solution state refined by one task round at a time.  Each round
-        spawns the kernel's round plan as its own task group
-        (``tenant/job#rN``), settles energy/quality from the round's
-        trace window, appends to ``report.round_quality``, and invokes
-        ``on_round`` with a :class:`RoundResult` — returning ``False``
-        from the callback takes the current answer and stops (the
-        "early take").  Iteration also stops when ``deadline_s`` of
-        engine time elapses or the tenant's budget runs dry; the report
-        always carries the best answer so far, never an error.
-
-        Runs on the caller's thread (the gateway's service thread),
-        serialized with :meth:`flush` rounds by construction.
-        """
-        if self._closed:
-            raise SchedulerError("service is closed")
-        if isinstance(request, dict):
-            request = JobRequest.from_dict(request)
-        span = None
-        if (
-            self._spans is not None
-            and request.job_id not in self._job_spans
-        ):
-            span = start_span(
-                "serve.job",
-                trace_id=request.trace_id,
-                parent_id=request.parent_span,
-                tenant=request.tenant,
-                job=request.job_id,
-                kernel=request.kernel,
-                anytime=True,
-            )
-            request.trace_id = span.trace_id
-            self._job_spans[request.job_id] = span
-        report = self._submit_anytime_inner(request, on_round=on_round)
-        if span is not None:
-            self._obs_finish(report)
-        else:
-            self._obs_count(report)
-        return report
-
-    def _submit_anytime_inner(
-        self, request: JobRequest, *, on_round: Any = None
-    ) -> JobReport:
-        report = JobReport(
-            job_id=request.job_id,
-            tenant=request.tenant,
-            kernel=request.kernel,
-            ratio_requested=request.ratio,
-        )
-        state = self._tenants.get(request.tenant)
-        if state is None:
-            report.status = "rejected-unknown-tenant"
-            report.code = 404
-            report.detail = f"unknown tenant {request.tenant!r}"
-            return report
-        if request.job_id in self._active_ids:
-            report.status = "rejected-duplicate-id"
-            report.code = 409
-            report.detail = (
-                f"job id {request.job_id!r} is already queued"
-            )
-            state.rejected += 1
-            return report
-        try:
-            kernel = self._kernel(request.kernel)
-        except (RegistryError, ConfigError) as exc:
-            report.status = "rejected-unknown-kernel"
-            report.code = 404
-            report.detail = str(exc)
-            state.rejected += 1
-            return report
-        from .kernels import AnytimeServable
-
-        if not isinstance(kernel, AnytimeServable):
-            report.status = "rejected-not-anytime"
-            report.code = 400
-            report.detail = (
-                f"kernel {kernel.name!r} has no anytime surface"
-            )
-            state.rejected += 1
-            return report
-        try:
-            args = kernel.canonical_args(request.args)
-            digest = kernel.digest(args)
-        except ConfigError as exc:
-            report.status = "rejected-bad-args"
-            report.code = 400
-            report.detail = str(exc)
-            state.rejected += 1
-            return report
-        if state.over_budget or state.saturated:
-            reason = "budget" if state.over_budget else "queue"
-            report.status = f"rejected-{reason}"
-            report.code = 429
-            report.detail = (
-                f"tenant {state.spec.name!r} over energy budget"
-                if reason == "budget"
-                else f"tenant queue full ({state.spec.max_pending})"
-            )
-            state.rejected += 1
-            return report
-
-        sched = self._sched
-        from ..runtime.task import ExecutionKind
-
+    def _run_anytime(self, adm: _Admitted, on_round) -> JobReport:
+        """Refine one admitted anytime job round by round (see
+        :meth:`submit_anytime`); each round is one unit of
+        :meth:`_run_round`."""
+        request, kernel, args = adm.request, adm.kernel, adm.args
+        state, report = adm.state, adm.report
         rounds = request.rounds
-        t_start_engine = sched.engine.master_time
-        t_start_wall = _time.perf_counter()
         astate = kernel.anytime_state(args)
         reference = (
-            self._reference(kernel, digest, args, anytime=True)
+            self._reference(kernel, adm.digest, args, anytime=True)
             if self.compute_quality
             else None
         )
-        t_end = t_start_engine
-        jspan = self._job_spans.get(request.job_id)
+        t_end = adm.t_submit_engine
+        metas: list[dict] = []
         for r in range(rounds):
             if r > 0 and state.over_budget:
-                report.detail = (
-                    f"budget exhausted after {r} rounds"
-                )
+                report.detail = f"budget exhausted after {r} rounds"
                 break
-            plan = kernel.anytime_plan(args, astate)
-            now = sched.engine.master_time
+            adm.plan = kernel.anytime_plan(args, astate)
             if state.governor is not None:
-                if state.e_acc_j is None:
-                    cost = _plan_cost(plan)
-                    ops = self._machine.ops_per_second
-                    state.e_acc_j = cost.accurate / ops * self._watts
-                    state.e_apx_j = (
-                        cost.approximate / ops * self._watts
-                    )
-                state.steer(now, plan.n_tasks * (rounds - r))
-            effective = min(request.ratio, state.ratio)
-            effective = max(effective, state.spec.ratio_floor)
-            label = f"{request.tenant}/{request.job_id}#r{r}"
-            self.job_meta[label] = {
+                self._seed_energy_model(state, adm.plan)
+                state.steer(
+                    self._sched.engine.master_time,
+                    adm.plan.n_tasks * (rounds - r),
+                )
+            report.ratio_served = state.served_ratio(request.ratio)
+            metas.append({
                 "tenant": request.tenant,
                 "job": request.job_id,
                 "kernel": kernel.name,
                 "round": r,
                 "rounds": rounds,
-            }
-            rspan = None
-            if jspan is not None:
-                rspan = jspan.child(
-                    "runtime.round", label=label, round=r
-                )
-                self.job_meta[label]["trace_id"] = jspan.trace_id
-                self.job_meta[label]["span_id"] = rspan.span_id
-            sched.init_group(label, effective)
-            tasks = sched.spawn_many(
-                plan.fn,
-                plan.args_list,
-                significance=plan.significance,
-                approxfun=plan.approxfun,
-                label=label,
-                cost=plan.cost,
+            })
+            self._open_unit(
+                adm,
+                f"{request.tenant}/{request.job_id}#r{r}",
+                metas[-1],
+                "runtime.round",
+                round=r,
             )
-            t_end = sched.taskwait()
-            busy = self._window_busy()
-            busy_acc = busy.get((label, ExecutionKind.ACCURATE), 0.0)
-            busy_apx = busy.get(
-                (label, ExecutionKind.APPROXIMATE), 0.0
-            )
-            energy_j = (busy_acc + busy_apx) * self._watts
-            state.charge(energy_j)
-            if self._m_energy is not None:
-                self._m_energy.labels(request.tenant).inc(energy_j)
+            t_end = self._run_round([adm])
+            if self._m_anytime is not None:
                 self._m_anytime.labels(request.tenant).inc()
-            group = sched.groups.get(label)
-            if rspan is not None:
-                rspan.end(
-                    self._spans,
-                    tasks=group.spawned,
-                    energy_j=energy_j,
-                )
-            state.observe_energy(
-                "acc", busy_acc, group.accurate_count, self._watts
-            )
-            state.observe_energy(
-                "apx",
-                busy_apx,
-                group.approx_count + group.dropped_count,
-                self._watts,
-            )
-            results = [t.result for t in tasks]
-            if not self._sched.retains_tasks:
-                self._sched.release_tasks(tasks)
-            astate = kernel.anytime_update(args, astate, results)
+            astate = kernel.anytime_update(args, astate, adm.results)
             output = kernel.anytime_output(args, astate)
             quality = (
                 kernel.quality(reference, output)
                 if self.compute_quality
                 else None
             )
-            report.tasks_total += group.spawned
-            report.accurate += group.accurate_count
-            report.approximate += group.approx_count
-            report.dropped += group.dropped_count
-            report.energy_j += energy_j
-            report.ratio_served = effective
+            total, accurate, approximate, dropped = adm.counts
+            report.tasks_total += total
+            report.accurate += accurate
+            report.approximate += approximate
+            report.dropped += dropped
+            report.energy_j += adm.energy_j
             report.output = output
             report.quality = quality
             report.rounds_run = r + 1
             report.round_quality.append(quality)
-            elapsed = t_end - t_start_engine
+            elapsed = t_end - adm.t_submit_engine
             if on_round is not None:
                 verdict = on_round(
                     RoundResult(
                         round=r,
                         output=output,
                         quality=quality,
-                        energy_j=energy_j,
+                        energy_j=adm.energy_j,
                         elapsed_s=elapsed,
-                        ratio=effective,
+                        ratio=report.ratio_served,
                     )
                 )
                 if verdict is False:
-                    report.detail = (
-                        f"early take after round {r + 1}"
-                    )
+                    report.detail = f"early take after round {r + 1}"
                     break
             if (
                 request.deadline_s is not None
@@ -1586,19 +1509,12 @@ class TaskService:
                 break
         report.status = "executed"
         report.code = 200
-        report.latency_s = max(0.0, t_end - t_start_engine)
-        report.wall_latency_s = max(
-            0.0, _time.perf_counter() - t_start_wall
-        )
+        self._finish_latency(adm, t_end)
         state.executed += 1
         # Stamp the final round count into every round's group_meta so
         # a chrome trace shows "round 2 of 3 run" without the span log.
-        for rr in range(report.rounds_run):
-            meta = self.job_meta.get(
-                f"{request.tenant}/{request.job_id}#r{rr}"
-            )
-            if meta is not None:
-                meta["rounds_run"] = report.rounds_run
+        for meta in metas:
+            meta["rounds_run"] = report.rounds_run
         return report
 
     # -- trace export ------------------------------------------------------
@@ -1654,14 +1570,18 @@ def _resolve_tenant(spec: Any) -> TenantSpec:
     return tenant
 
 
-def _plan_cost(plan) -> "TaskCost":
-    """A representative per-task cost for one plan (model seeding)."""
-    from ..runtime.task import TaskCost
-
-    cost = plan.cost
-    if callable(cost) and not isinstance(cost, TaskCost):
-        cost = cost(*plan.args_list[0]) if plan.args_list else None
-    return cost if isinstance(cost, TaskCost) else TaskCost(0.0)
+def _gateway_service(service, kwargs: dict) -> ServiceProtocol:
+    """A gateway's backing service: ``service`` when it implements
+    :class:`ServiceProtocol`, else a new :class:`TaskService`."""
+    if service is None:
+        return TaskService(**kwargs)
+    if not isinstance(service, ServiceProtocol):
+        raise ConfigError(
+            f"{type(service).__name__} does not implement "
+            "ServiceProtocol (submit/submit_anytime/flush/pending_jobs/"
+            "stats/metrics_snapshot/metrics_text/span_recorder/close)"
+        )
+    return service
 
 
 class LocalGateway:
@@ -1676,16 +1596,7 @@ class LocalGateway:
     def __init__(
         self, service: ServiceProtocol | None = None, **kwargs
     ) -> None:
-        if service is not None and not isinstance(
-            service, ServiceProtocol
-        ):
-            raise ConfigError(
-                f"{type(service).__name__} does not implement "
-                "ServiceProtocol (submit/flush/pending_jobs/stats/close)"
-            )
-        self.service: ServiceProtocol = (
-            service if service is not None else TaskService(**kwargs)
-        )
+        self.service = _gateway_service(service, kwargs)
 
     def submit(self, request: JobRequest | dict) -> JobReport:
         """Admit one job (completed immediately when cache/rejection
@@ -1762,16 +1673,7 @@ class ServeServer:
         batch_window_s: float = 0.01,
         **service_kwargs,
     ) -> None:
-        if service is not None and not isinstance(
-            service, ServiceProtocol
-        ):
-            raise ConfigError(
-                f"{type(service).__name__} does not implement "
-                "ServiceProtocol (submit/flush/pending_jobs/stats/close)"
-            )
-        self.service: ServiceProtocol = (
-            service if service is not None else TaskService(**service_kwargs)
-        )
+        self.service = _gateway_service(service, service_kwargs)
         self.host = host
         self.port = port
         self.batch_window_s = batch_window_s
@@ -1888,21 +1790,7 @@ class ServeServer:
         service thread and come back settled (never queued).
         """
         if request.anytime:
-            submit_anytime = getattr(
-                self.service, "submit_anytime", None
-            )
-            if submit_anytime is None:
-                report = JobReport(
-                    job_id=request.job_id,
-                    tenant=request.tenant,
-                    kernel=request.kernel,
-                    ratio_requested=request.ratio,
-                    status="rejected-not-anytime",
-                    code=400,
-                    detail="service has no anytime path",
-                )
-                return report, False
-            return submit_anytime(request), False
+            return self.service.submit_anytime(request), False
         report = self.service.submit(request)
         return report, report.status == "queued"
 
@@ -1920,17 +1808,11 @@ class ServeServer:
             if op == "metrics":
                 fmt = message.get("format", "json")
                 as_text = fmt in ("prometheus", "text")
-                fn = getattr(
-                    self.service,
-                    "metrics_text" if as_text else "metrics_snapshot",
-                    None,
+                body = await self._call(
+                    self.service.metrics_text
+                    if as_text
+                    else self.service.metrics_snapshot
                 )
-                if fn is None:
-                    return {
-                        "ok": False,
-                        "error": "service has no metrics endpoint",
-                    }
-                body = await self._call(fn)
                 return {"ok": True, ("text" if as_text else "metrics"): body}
             if op != "submit":
                 return {"ok": False, "error": f"unknown op {op!r}"}
@@ -1947,7 +1829,7 @@ class ServeServer:
             # The gateway is the outermost instrumented layer: a
             # request arriving without a trace gets its root span here,
             # covering the full wire-to-settled wall time of the op.
-            recorder = getattr(self.service, "span_recorder", None)
+            recorder = self.service.span_recorder
             gspan = None
             if recorder is not None and request.trace_id is None:
                 gspan = start_span(

@@ -168,6 +168,11 @@ class TenantState:
         """The accurate ratio this tenant is currently served at."""
         return 1.0 if self.governor is None else self.governor.ratio
 
+    def served_ratio(self, requested: float) -> float:
+        """The ratio a job requesting ``requested`` is served at: the
+        governor's ratio caps it, the tier's floor bounds it below."""
+        return max(min(requested, self.ratio), self.spec.ratio_floor)
+
     @property
     def over_budget(self) -> bool:
         if self.lease is not None:

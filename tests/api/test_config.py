@@ -184,15 +184,10 @@ class TestSchedulerFrontDoor:
             assert rep.energy_j == baseline.energy_j
             assert rep.tasks_by_kind == baseline.tasks_by_kind
 
-    def test_legacy_positional_policy_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            sched = Scheduler(GlobalTaskBuffering(4), 2)
-        assert isinstance(sched.policy, GlobalTaskBuffering)
-        rep = _run(sched)
-        baseline = _run(
-            Scheduler(policy=GlobalTaskBuffering(4), n_workers=2)
-        )
-        assert rep.energy_j == baseline.energy_j
+    def test_positional_policy_rejected_naming_policy_kwarg(self):
+        with pytest.raises(ConfigError, match=r"policy=") as info:
+            Scheduler(GlobalTaskBuffering(4), 2)
+        assert "RuntimeConfig" in str(info.value)
 
     def test_positional_and_keyword_policy_conflict(self):
         with pytest.raises(SchedulerError, match="two policies"):

@@ -1,23 +1,13 @@
-"""Deprecated entry points: still functional, warn once per call site.
+"""The registry is the only front door to policies and engines.
 
-`make_policy` / `make_engine` and the positional-policy `Scheduler`
-form are kept for compatibility but deprecated since the registry
-became the front door.  Under Python's default warning filter a
-``DeprecationWarning`` fires once per *call site* (message, category,
-lineno), so a hot loop over a legacy call does not spam — these tests
-pin exactly that contract.  No example or benchmark in the repository
-uses the deprecated forms anymore; only these tests (and the shims'
-own unit tests) may touch them.
+Spec strings build every component without a warning, and no example
+or benchmark spells out a concrete policy/engine factory call.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from repro.energy.cost import HybridCost
-from repro.energy.machine_model import XEON_E5_2650
-from repro.runtime.engine import make_engine
-from repro.runtime.policies import SignificanceAgnostic, make_policy
 from repro.runtime.scheduler import Scheduler
 
 
@@ -33,70 +23,6 @@ def _collect(body) -> list[warnings.WarningMessage]:
 
 
 class TestOncePerCallSite:
-    def test_make_policy_warns_once_per_site(self):
-        def body():
-            for _ in range(5):
-                make_policy("gtb")  # one site, five calls
-
-        assert len(_collect(body)) == 1
-
-    def test_make_policy_distinct_sites_warn_separately(self):
-        def body():
-            make_policy("gtb")
-            make_policy("lqh")  # a different line -> a fresh warning
-
-        assert len(_collect(body)) == 2
-
-    def test_make_engine_warns_once_per_site(self):
-        machine = XEON_E5_2650.with_workers(2)
-
-        def build():
-            return make_engine(
-                "simulated",
-                2,
-                machine,
-                HybridCost(),
-                SignificanceAgnostic(),
-                lambda task, now: None,
-            )
-
-        def body():
-            for _ in range(3):
-                build()  # make_engine's own line is the site
-
-        assert len(_collect(body)) == 1
-
-    def test_positional_policy_scheduler_warns_once_per_site(self):
-        def body():
-            for _ in range(4):
-                Scheduler(SignificanceAgnostic(), n_workers=2)
-
-        warns = _collect(body)
-        assert len(warns) == 1
-        assert "positional" in str(warns[0].message)
-
-    def test_direct_process_engine_warns_once_per_site(self):
-        from repro.runtime.process_engine import ProcessPoolEngine
-
-        machine = XEON_E5_2650.with_workers(2)
-
-        def build():
-            return ProcessPoolEngine(
-                2,
-                machine,
-                HybridCost(),
-                SignificanceAgnostic(),
-                lambda task, now: None,
-            )
-
-        def body():
-            for _ in range(3):
-                build()
-
-        warns = _collect(body)
-        assert len(warns) == 1
-        assert "engine spec string" in str(warns[0].message)
-
     def test_spec_string_construction_is_warning_free(self):
         def body():
             for spec in ("process", "process:shm=true"):
@@ -107,15 +33,9 @@ class TestOncePerCallSite:
 
 
 class TestDeprecatedFormsStillWork:
-    def test_make_policy_returns_working_policy(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            policy = make_policy("gtb", buffer_size=4)
-        assert policy.buffer_size == 4
-
     def test_no_deprecated_usage_in_examples_or_benchmarks(self):
-        """The satellite guarantee: the deprecated spellings are gone
-        from all runnable example/benchmark code."""
+        """Runnable example/benchmark code builds components through
+        spec strings only."""
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]

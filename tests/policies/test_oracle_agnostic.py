@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.runtime.policies import (
-    OraclePolicy,
-    SignificanceAgnostic,
-    make_policy,
-)
+from repro.registry import resolve
+from repro.runtime.policies import OraclePolicy, SignificanceAgnostic
 from repro.runtime.task import ExecutionKind
 
 from ..conftest import make_scheduler, spawn_n
@@ -62,9 +59,12 @@ class TestOracle:
         assert accurate == {6, 7}
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def make_policy(spec, **kwargs):
+    return resolve("policy", spec, **kwargs)
+
+
 class TestMakePolicy:
-    """The deprecated shim keeps resolving every historical spec."""
+    """The policy registry resolves every historical spec."""
 
     @pytest.mark.parametrize("spec,cls_name", [
         ("gtb", "GlobalTaskBuffering"),
@@ -87,6 +87,12 @@ class TestMakePolicy:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             make_policy("magic")
+
+    def test_unknown_kwargs_raise(self):
+        with pytest.raises(TypeError):
+            make_policy("lqh", buffer_size=3)
+        with pytest.raises(TypeError):
+            make_policy("oracle", depth=2)
 
     def test_unattached_policy_raises(self):
         from repro.runtime.errors import PolicyError

@@ -243,6 +243,27 @@ class TestServiceProtocol:
         with pytest.raises(ConfigError, match="ServiceProtocol"):
             ServeServer(service=object())
 
+    def test_gateways_reject_service_without_anytime_door(self):
+        from repro.runtime.errors import ConfigError
+        from repro.serve import ServeServer
+
+        class BatchOnly:
+            """Everything the contract asks for but ``submit_anytime``."""
+
+            pending_jobs = 0
+            span_recorder = None
+
+            def submit(self, request):
+                raise AssertionError("never called")
+
+            flush = stats = close = submit
+            metrics_snapshot = metrics_text = submit
+
+        with pytest.raises(ConfigError, match="ServiceProtocol"):
+            LocalGateway(BatchOnly())
+        with pytest.raises(ConfigError, match="ServiceProtocol"):
+            ServeServer(service=BatchOnly())
+
     def test_gateway_accepts_any_protocol_service(self):
         from repro.cluster.service import ClusterService
 
@@ -258,3 +279,107 @@ class TestServiceProtocol:
                 ]
             )[0]
             assert report.status == "executed"
+
+
+#: The admission ladder's outcomes, per job shape: the expected
+#: ``(status, code, rejected)`` — ``rejected`` is the tenant's refusal
+#: counter afterwards.  A stream frame cannot ask for rounds (the
+#: request envelope refuses it), and an over-budget stream frame is
+#: admitted to be degraded, never refused.
+_LADDER = {
+    "unknown-tenant": {
+        shape: ("rejected-unknown-tenant", 404, 0)
+        for shape in ("batch", "stream", "anytime")
+    },
+    "duplicate-id": {
+        shape: ("rejected-duplicate-id", 409, 1)
+        for shape in ("batch", "stream", "anytime")
+    },
+    "unknown-kernel": {
+        shape: ("rejected-unknown-kernel", 404, 1)
+        for shape in ("batch", "stream", "anytime")
+    },
+    "bad-args": {
+        shape: ("rejected-bad-args", 400, 1)
+        for shape in ("batch", "stream", "anytime")
+    },
+    "wrong-shape": {
+        "batch": ("rejected-bad-shape", 400, 1),
+        "stream": None,
+        "anytime": ("rejected-not-anytime", 400, 1),
+    },
+    "over-budget": {
+        "batch": ("rejected-budget", 429, 1),
+        "stream": ("queued", 0, 0),
+        "anytime": ("rejected-budget", 429, 1),
+    },
+}
+
+
+class TestAdmissionLadder:
+    """One ladder for every shape: batch ``submit``, stream ``submit``
+    and ``submit_anytime`` refuse the same faults with the same
+    status, code and tenant bookkeeping."""
+
+    @staticmethod
+    def _request(shape, outcome):
+        fields = {"tenant": "t", "kernel": "sobel", "args": {"size": 16}}
+        if shape == "anytime":
+            fields.update(kernel="jacobi", args={"n": 32}, rounds=2)
+        if shape == "stream":
+            fields["stream"] = "cam"
+        if outcome == "unknown-tenant":
+            fields["tenant"] = "nobody"
+        elif outcome == "duplicate-id":
+            fields["job_id"] = "dup"
+        elif outcome == "unknown-kernel":
+            fields["kernel"] = "no-such-kernel"
+        elif outcome == "bad-args":
+            fields["args"] = {"n": 3} if shape == "anytime" else {"size": 3}
+        elif outcome == "wrong-shape":
+            # Batch and stream doors get an anytime request; the
+            # anytime door gets a kernel with no anytime surface.
+            fields.update(kernel="sobel", args={"size": 16}, rounds=2)
+        elif outcome == "over-budget":
+            fields["args"] = dict(fields["args"], seed=7)
+        return JobRequest(**fields)
+
+    @pytest.mark.parametrize("outcome", sorted(_LADDER))
+    @pytest.mark.parametrize("shape", ["batch", "stream", "anytime"])
+    def test_outcome(self, shape, outcome):
+        from repro.runtime.errors import ConfigError
+
+        expected = _LADDER[outcome][shape]
+        svc = TaskService(
+            _cfg(workers=4), tenants=("free:name='t',budget_j=1e-9",)
+        )
+        state = svc.tenants["t"]
+        if outcome == "over-budget":
+            warm = svc.submit(
+                JobRequest(tenant="t", kernel="mc-pi", args={"blocks": 2})
+            )
+            svc.flush()
+            assert warm.status == "executed" and state.over_budget
+        if outcome == "duplicate-id":
+            queued = svc.submit(
+                JobRequest(
+                    tenant="t", kernel="sobel", args={"size": 16},
+                    job_id="dup",
+                )
+            )
+            assert queued.status == "queued"
+        if expected is None:
+            with pytest.raises(ConfigError, match="not both"):
+                self._request(shape, outcome)
+            assert state.rejected == 0
+            svc.close()
+            return
+        request = self._request(shape, outcome)
+        report = (
+            svc.submit_anytime(request)
+            if shape == "anytime"
+            else svc.submit(request)
+        )
+        assert (report.status, report.code, state.rejected) == expected
+        svc.close()
+
