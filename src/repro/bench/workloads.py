@@ -33,11 +33,12 @@ about (section 4.2 / Figure 4):
   ``compile="specialize"`` versus interpreted (capped gated speedups),
   plus the shallow profiler's <5% overhead bar on a specialized chunk
   loop.
-* **serve_cluster** — the sharded serving layer's acceptance gates:
-  the :func:`repro.cluster.figure.fig_cluster` smoke workload on 1/4/8
-  shards (virtual-time speedups, gated at ≥3x and ≥5x), the cluster
-  ledger's 2% lifetime-spend parity versus the single-shard figure,
-  and the fig-serve two-tenant isolation band replayed across shards.
+* **serve_cluster** — the sharded serving layer's acceptance gates,
+  read from the ``cluster-scale`` and ``cluster-isolation`` scenarios
+  of :mod:`repro.serve.scenarios`: the smoke workload on 1/4/8 shards
+  (virtual-time speedups, gated at ≥3x and ≥5x), the cluster ledger's
+  2% lifetime-spend parity versus the single-shard figure, and the
+  two-tenant isolation band replayed across shards.
   Fully virtual-time, so every gated metric is host-independent.
 * **payload_bandwidth** — the zero-copy data plane's acceptance gates:
   a Sobel-shaped stream (row blocks of one large float64 image) on the
@@ -490,7 +491,7 @@ def bench_serve_throughput(
     def stream() -> None:
         box["lat"] = _serve_stream(n_jobs)
 
-    from ..serve.figure import percentile
+    from ..harness.frames import percentile
 
     s = sample(stream, repeats=repeats, timer=timer)
     jobs_per_s = n_jobs / max(s.best_s, 1e-12)
@@ -618,18 +619,27 @@ def bench_serve_cluster(
     """Sharded-serving acceptance gates (virtual time; repeats ignored).
 
     Like ``governor_convergence`` this measures claims, not host speed:
-    one deterministic :func:`~repro.cluster.figure.fig_cluster` run
-    supplies the scaling, ledger-parity and isolation verdicts.  The
-    speedup gates are capped at their acceptance bars — the raw ratios
-    wobble with workload balance across shards, but any healthy tree
-    saturates the cap (gate value exactly at the bar, ratio 1.0 against
-    the baseline), while a scaling regression drops below it and fails
-    the tolerance band.
+    one deterministic run of the ``cluster-scale`` and
+    ``cluster-isolation`` scenarios supplies the scaling, ledger-parity
+    and isolation verdicts.  The speedup gates are capped at their
+    acceptance bars — the raw ratios wobble with workload balance across
+    shards, but any healthy tree saturates the cap (gate value exactly
+    at the bar, ratio 1.0 against the baseline), while a scaling
+    regression drops below it and fails the tolerance band.
     """
-    from ..cluster.figure import PARITY_TOLERANCE, fig_cluster
+    from ..serve.scenarios import ISOLATION_BANDS, LEDGER_PARITY, run_scenarios
 
-    data = fig_cluster(small=small, n_workers=N_WORKERS)
-    s4, s8 = data.speedup(4), data.speedup(8)
+    scale, iso = run_scenarios(
+        ["cluster-scale", "cluster-isolation"],
+        small=small,
+        n_workers=N_WORKERS,
+    )
+    runs = {row["shards"]: row for row in scale.frame.rows()}
+    s4, s8 = runs[4]["speedup"], runs[8]["speedup"]
+    parity = scale.frame.max("parity_dev")
+    p95 = dict(zip(iso.frame.col("stream"), iso.frame.col("p95_latency_s")))
+    b_p95_delta = (p95["B shared"] - p95["B solo"]) / p95["B solo"]
+    isolated = all(c.passed for c in iso.checks if c.name in ISOLATION_BANDS)
     return {
         "serve_cluster.speedup_4shard": Metric(
             s4, "x", higher_is_better=True
@@ -646,25 +656,25 @@ def bench_serve_cluster(
             higher_is_better=True, gated=True,
         ),
         "serve_cluster.ledger_parity_pct": Metric(
-            100.0 * data.parity_error, "%", higher_is_better=False
+            100.0 * parity, "%", higher_is_better=False
         ),
-        # Acceptance bar itself (spend within PARITY_TOLERANCE of the
+        # Acceptance bar itself (spend within LEDGER_PARITY of the
         # single-shard ledger figure): the raw deviation is ~1e-12 and
         # a ratio of two such floats would gate on noise.
-        f"serve_cluster.parity_within_{int(PARITY_TOLERANCE * 100)}pct":
+        f"serve_cluster.parity_within_{int(LEDGER_PARITY * 100)}pct":
             Metric(
-                1.0 if data.parity_ok else 0.0, "bool",
+                1.0 if parity <= LEDGER_PARITY else 0.0, "bool",
                 higher_is_better=True, gated=True,
             ),
         "serve_cluster.isolated": Metric(
-            1.0 if data.isolated else 0.0, "bool",
+            1.0 if isolated else 0.0, "bool",
             higher_is_better=True, gated=True,
         ),
         "serve_cluster.b_p95_delta_pct": Metric(
-            100.0 * data.b_p95_delta, "%", higher_is_better=False
+            100.0 * b_p95_delta, "%", higher_is_better=False
         ),
         "serve_cluster.jobs_per_s_8shard": Metric(
-            data.scale_runs[8]["jobs_per_s"], "jobs/s",
+            runs[8]["jobs_per_s"], "jobs/s",
             higher_is_better=True,
         ),
     }

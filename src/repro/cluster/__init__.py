@@ -5,14 +5,13 @@ One :class:`~repro.cluster.service.ClusterService` runs N serve shards
 consistent hash (:mod:`repro.cluster.hashring`), shares one logical
 approximate-result cache (:mod:`repro.cluster.cache`) and enforces
 cluster-wide lifetime energy budgets through chunked quota leases
-(:mod:`repro.cluster.ledger`).  ``fig-cluster``
-(:mod:`repro.cluster.figure`) is the acceptance figure; the
-``serve_cluster`` bench probe gates the scaling and ledger-parity
-claims in CI.
+(:mod:`repro.cluster.ledger`).  The ``cluster-scale`` and
+``cluster-isolation`` scenarios (:mod:`repro.serve.scenarios`) are the
+acceptance figures; the ``serve_cluster`` bench probe gates the
+scaling and ledger-parity claims in CI.
 """
 
 from .cache import CacheView, ShardedResultCache
-from .figure import ClusterFigData, fig_cluster
 from .hashring import HashRing, cache_key, job_key, stable_hash
 from .ledger import EnergyLedger, LedgerAccount, LedgerLease
 from .service import ClusterService, ClusterSpec, ShardWorker
@@ -30,6 +29,4 @@ __all__ = [
     "ClusterSpec",
     "ShardWorker",
     "ClusterService",
-    "ClusterFigData",
-    "fig_cluster",
 ]

@@ -399,28 +399,24 @@ class ClusterService:
             span.end(self._spans, shard=shard, status=report.status)
         return report
 
-    def _shard_round(self, worker: ShardWorker) -> list[JobReport]:
-        """One admission round on one shard (runs on its thread)."""
-        # Top up every budgeted tenant's lease before the round so the
-        # cut-off decision is made against fresh cluster headroom, and
-        # governors steer against the quota actually granted.
-        for state in worker.service.tenants.values():
-            state.replenish()
-        return worker.service.flush()
-
     def flush(self) -> list[JobReport]:
         """One cluster round: every shard flushes concurrently.
 
-        Shards with empty queues still run their (cheap, empty) round
-        so lease refills and governor retargets stay in lock-step.
-        Settles the ledger afterwards, so ``spent_j`` figures lag
-        reality by at most one round.
+        Every budgeted tenant's lease is topped up first, shard by
+        shard on the calling thread, so the cut-off decision is made
+        against fresh cluster headroom and governors steer against the
+        quota actually granted.  Serial, in shard order, so grants (and
+        with them every served ratio) do not depend on which shard
+        thread reaches the ledger first.  Shards with empty queues still
+        run their (cheap, empty) round.  Settles the ledger afterwards,
+        so ``spent_j`` figures lag reality by at most one round.
         """
         if self._closed:
             raise SchedulerError("cluster service is closed")
-        futures = [
-            w.begin(self._shard_round, w) for w in self.shards
-        ]
+        for w in self.shards:
+            for state in w.service.tenants.values():
+                state.replenish()
+        futures = [w.begin(w.service.flush) for w in self.shards]
         reports = list(
             itertools.chain.from_iterable(f.result() for f in futures)
         )
@@ -453,9 +449,12 @@ class ClusterService:
             account = self.ledger.account(name)
             summary["ledger_settled_j"] = account.settled_j
             summary["ledger_granted_j"] = account.granted_j
-            summary["over_budget"] = all(
-                s.over_budget for s in states
-            )
+            # Cluster-wide spend at the budget, or every shard's lease
+            # dry: either way the tenant is over budget (shards can
+            # overdraw their leases before the ledger settles).
+            summary["over_budget"] = summary["spent_j"] >= (
+                spec.budget_j
+            ) or all(s.over_budget for s in states)
         else:
             summary["over_budget"] = False
         return summary

@@ -438,8 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=[
             "table1", "table2", "fig1", "fig2", "fig3", "fig4",
-            "fig-energy-budget", "fig-serve", "fig-cluster",
-            "fig-compile", "fig-scenarios", "all", "sweep", "bench",
+            "fig-energy-budget", "fig-scenarios", "all", "sweep", "bench",
             "serve", "top",
         ],
     )
@@ -676,36 +675,6 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 fig_energy_budget(
                     small=args.small, n_workers=args.workers
-                ).render()
-            )
-        elif exp == "fig-serve":
-            from ..serve.figure import fig_serve
-
-            print(
-                fig_serve(
-                    small=args.small,
-                    n_workers=args.workers,
-                    engine=args.engine,
-                ).render()
-            )
-        elif exp == "fig-cluster":
-            from ..cluster.figure import fig_cluster
-
-            print(
-                fig_cluster(
-                    small=args.small,
-                    n_workers=args.workers,
-                    engine=args.engine,
-                ).render()
-            )
-        elif exp == "fig-compile":
-            from ..compiler.figure import fig_compile
-
-            print(
-                fig_compile(
-                    small=args.small,
-                    n_workers=args.workers,
-                    engine=args.engine,
                 ).render()
             )
         print()

@@ -15,11 +15,22 @@ dicts (batch jobs carry no ``frame``, stream frames no
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Iterator
 
 from ..runtime.errors import ConfigError
 
-__all__ = ["TraceFrame"]
+__all__ = ["TraceFrame", "percentile"]
+
+
+def percentile(values, q: float) -> float:
+    """Nearest-rank percentile (p95 of latencies and friends)."""
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must be in (0, 1], got {q}")
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 class TraceFrame:
@@ -138,8 +149,6 @@ class TraceFrame:
         return max(vals) if vals else 0.0
 
     def percentile(self, name: str, q: float) -> float:
-        from ..serve.figure import percentile
-
         return percentile(self._numeric(name), q)
 
     def value_counts(self, name: str) -> dict[Any, int]:

@@ -497,12 +497,16 @@ class ThreadedEngine(WallClockTicks, Engine):
     ) -> float:
         stalled_once = False
         with self._done_cv:
-            while not predicate():
+            while True:
                 # Fold the workers' buffered deltas into the shared
                 # trace before any tick callback (the governor samples
-                # the trace) and before stall diagnosis.
+                # the trace) and before stall diagnosis.  The tick check
+                # runs at barrier entry too: if every task finished
+                # before the barrier, the due tick still fires.
                 self._accounting.merge_shards()
                 self._maybe_tick(self._now())
+                if predicate():
+                    break
                 if self._inflight == 0 and len(self.queues) == 0:
                     if not stalled_once and self.stall_handler is not None:
                         stalled_once = True

@@ -533,8 +533,12 @@ class ProcessPoolEngine(WallClockTicks, Engine):
         self, predicate: Callable[[], bool], description: str
     ) -> float:
         stalled_once = False
-        while not predicate():
+        while True:
+            # Tick check at barrier entry too: if every task finished
+            # before the barrier, the due tick still fires.
             self._maybe_tick(self._now())
+            if predicate():
+                break
             self._dispatch()
             if self._pending:
                 self._harvest(

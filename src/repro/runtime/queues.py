@@ -80,14 +80,6 @@ class WorkerQueues:
     def is_empty(self) -> bool:
         return self._size == 0
 
-    # ------------------------------------------------------------------
-    def select_worker(self) -> int:
-        """Round-robin choice for the next issued task (master side)."""
-        w = self._rr_next
-        nxt = w + 1
-        self._rr_next = nxt if nxt < self.n_workers else 0
-        return w
-
     def push(self, task: Task, worker: int | None = None) -> int:
         """Issue a ready task to a worker queue; returns the worker id."""
         if worker is None:
@@ -220,13 +212,6 @@ class ShardedWorkerQueues:
         return all(not q for q in self._queues)
 
     # -- master side (serialized by the engine's admission lock) --------
-    def select_worker(self) -> int:
-        """Round-robin choice for the next issued task (master side)."""
-        w = self._rr_next
-        nxt = w + 1
-        self._rr_next = nxt if nxt < self.n_workers else 0
-        return w
-
     def push(self, task: Task, worker: int | None = None) -> int:
         """Issue a ready task to a worker shard; returns the worker id."""
         if worker is None:

@@ -7,8 +7,8 @@ approximate-result cache that degrades answers instead of shedding them
 (:mod:`repro.serve.cache`), servable kernels
 (:mod:`repro.serve.kernels`), a JSON-lines TCP gateway
 (:class:`ServeServer`) with sync/async clients
-(:mod:`repro.serve.client`), and the two-tenant isolation figure
-(:func:`repro.serve.figure.fig_serve`).
+(:mod:`repro.serve.client`), and the scenario conformance harness
+(:mod:`repro.serve.scenarios`) that pins the serving claims.
 
 Importing this package registers the ``"tenant"`` and ``"servable"``
 registry families.

@@ -1,4 +1,4 @@
-"""Scenario conformance harness for the serving job shapes.
+"""Scenario conformance harness for the serving claims.
 
 Every serving claim this repo makes — streams degrade mid-stream
 instead of dropping frames, identical frames replay from cache for
@@ -6,8 +6,11 @@ free, anytime jobs refine (the jacobi curve monotonically; for
 k-means the last round is no worse than the first, since Lloyd lowers
 its objective rather than the distance to the converged centroids)
 and stop at the deadline or on an early take,
-faults degrade answers without corrupting them, the cluster ledger
-stays in parity — is pinned here as a **scenario**: one registered
+faults degrade answers without corrupting them, a budgeted tenant is
+degraded while its neighbour's latency and quality hold (on one
+service and across shards), the cluster scales and its ledger stays in
+parity, and the compile tier never changes an answer — is pinned here
+as a **scenario**: one registered
 generator that runs real traffic through a real service, collects the
 job reports into a :class:`~repro.harness.frames.TraceFrame`, and
 produces BOTH a human-readable figure and a machine-checked list of
@@ -16,14 +19,22 @@ produces BOTH a human-readable figure and a machine-checked list of
 The registry doubles as the conformance suite: ``python -m
 repro.harness fig-scenarios`` renders every figure and exits nonzero
 if any check fails, and ``tests/serve/test_scenarios.py`` parametrizes
-over :data:`SCENARIOS` so pytest runs the same assertions.
+over :data:`SCENARIOS` so pytest runs the same assertions.  Every
+scenario runs on the simulated engine (the fault pair on its faulty
+wrapper), so all checks are judged on the deterministic virtual
+timeline.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from ..cluster.service import ClusterService
+from ..compiler.specialize import clear_profile
 from ..config import RuntimeConfig
 from ..harness.frames import TraceFrame
 from ..runtime.errors import ConfigError
@@ -36,6 +47,8 @@ __all__ = [
     "SCENARIOS",
     "scenario",
     "run_scenarios",
+    "cluster_smoke_jobs",
+    "run_cluster_scale",
 ]
 
 #: Monotonicity slack for quality curves: at convergence consecutive
@@ -48,6 +61,23 @@ LEDGER_PARITY = 0.02
 
 #: The deterministic faulty-engine spec the fault scenarios run under.
 FAULTY_ENGINE = "faulty:fault_rate=0.1,protect_threshold=0.7,seed=3"
+
+#: Isolation acceptance band: tenant B's shared-run p95 latency and
+#: quality must sit within this fraction of its solo run.
+ISOLATION_TOLERANCE = 0.05
+
+#: Names of the two band checks both isolation scenarios carry (the
+#: ``serve_cluster`` bench probe reads its ``isolated`` bit from them).
+ISOLATION_BANDS = (
+    "B p95 latency within 5% of solo",
+    "B quality within 5% of solo",
+)
+
+#: Scaling-run budget of tenant A: large enough that its governor never
+#: binds (every run executes the same work at ratio 1.0, so the parity
+#: comparison isolates the *accounting*), yet every Joule still flows
+#: through the cluster ledger's lease protocol.
+SCALE_BUDGET_J = 1e6
 
 
 @dataclass
@@ -133,10 +163,8 @@ def run_scenarios(
     ]
 
 
-def _config(n_workers: int, engine: str = "simulated") -> RuntimeConfig:
-    return RuntimeConfig(
-        policy="gtb-max", n_workers=n_workers, engine=engine
-    )
+def _config(n_workers: int, **fields) -> RuntimeConfig:
+    return RuntimeConfig(policy="gtb-max", n_workers=n_workers, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -550,8 +578,6 @@ def scenario_faults_under_serve(
 def scenario_faults_under_cluster(
     *, small: bool = True, n_workers: int = 8
 ) -> ScenarioReport:
-    from ..cluster.service import ClusterService
-
     n_jobs = 24 if small else 96
     budget_j = 0.004
     svc = ClusterService(
@@ -625,5 +651,451 @@ def scenario_faults_under_cluster(
             f"{n_jobs} mixed jobs across 3 faulty shards",
             f"hobby: spent {spent:.3g} J, ledger {settled:.3g} J, "
             f"parity {parity:.2%}",
+        ],
+    )
+
+
+# ----------------------------------------------------------------------
+# Tenant isolation
+# ----------------------------------------------------------------------
+def _isolation(make_service, *, small: bool, n_workers: int) -> dict:
+    """The two-tenant isolation run behind ``serve-isolation`` and
+    ``cluster-isolation``.
+
+    Tenant A (droppable Monte-Carlo batches) is priced solo and
+    accurate on a :class:`TaskService`, then budgeted at 60 % of that
+    price; tenant B (accurate Sobel, latency-sensitive, unmetered) runs
+    solo and then shared with A, both on the service
+    ``make_service(tenants)`` builds.  A's whole batch queues up front,
+    B streams two jobs per round.  Returns the per-stream frame, the
+    two :data:`ISOLATION_BANDS` checks, common figure lines and the raw
+    reports and Joule figures the scenarios add their own checks on.
+    """
+    waves = 10 if small else 20
+
+    def a_job(w: int) -> JobRequest:
+        return JobRequest(
+            tenant="a", kernel="mc-pi",
+            args={
+                "blocks": 8, "samples": 1000 if small else 4000,
+                "seed": 2015 + w,
+            },
+        )
+
+    def b_job(w: int, j: int) -> JobRequest:
+        # Distinct seeds: B's traffic never repeats, so its latency is
+        # never a cache artifact.
+        return JobRequest(
+            tenant="b", kernel="sobel",
+            args={"size": 128 if small else 256, "seed": 1000 + 17 * w + j},
+        )
+
+    def run(make, tenants: tuple, a_waves: int, b_waves: int):
+        with make(tenants) as svc:
+            a = [svc.submit(a_job(w)) for w in range(a_waves)]
+            b = []
+            for w in range(b_waves):
+                b += [svc.submit(b_job(w, j)) for j in range(2)]
+                svc.flush()
+            while svc.pending_jobs:
+                svc.flush()
+            return a, b, svc.stats()["tenants"]
+
+    def solo_service(tenants: tuple) -> TaskService:
+        return TaskService(_config(n_workers), tenants=tenants, max_batch=4)
+
+    *_, solo = run(solo_service, ("standard:name='a'",), waves, 0)
+    a_solo_j = solo["a"]["spent_j"]
+    budget_j = 0.6 * a_solo_j
+    _, b_solo, _ = run(make_service, ("premium:name='b'",), 0, waves)
+    a, b_shared, tenants = run(
+        make_service,
+        (
+            f"standard:name='a',budget_j={budget_j},max_pending=4096",
+            "premium:name='b'",
+        ),
+        waves,
+        waves,
+    )
+
+    streams = {
+        "A shared": TraceFrame.from_reports(a),
+        "B solo": TraceFrame.from_reports(b_solo),
+        "B shared": TraceFrame.from_reports(b_shared),
+    }
+    frame = TraceFrame.from_records(
+        {
+            "stream": name,
+            "jobs": len(f),
+            "mean_ratio": f.mean("ratio_served"),
+            "mean_quality": f.mean("quality"),
+            "p95_latency_s": f.percentile("latency_s", 0.95),
+        }
+        for name, f in streams.items()
+    )
+    p95 = dict(zip(frame.col("stream"), frame.col("p95_latency_s")))
+    p95_delta = (p95["B shared"] - p95["B solo"]) / p95["B solo"]
+    quality = dict(zip(frame.col("stream"), frame.col("mean_quality")))
+    quality_delta = abs(quality["B shared"] - quality["B solo"])
+    return {
+        "frame": frame,
+        "checks": [
+            Check(
+                ISOLATION_BANDS[0],
+                abs(p95_delta) <= ISOLATION_TOLERANCE,
+                f"{p95_delta:+.2%}",
+            ),
+            Check(
+                ISOLATION_BANDS[1],
+                quality_delta <= ISOLATION_TOLERANCE,
+                f"delta {quality_delta:.4g}",
+            ),
+        ],
+        "lines": [
+            f"A: {waves} mc-pi batches queued up front, budget "
+            f"{budget_j:.4g} J = 60% of its {a_solo_j:.4g} J solo price; "
+            f"B: {2 * waves} distinct sobel jobs, 2 per round",
+            f"A outcomes {streams['A shared'].value_counts('status')}",
+        ],
+        "b_solo": b_solo,
+        "b_shared": b_shared,
+        "a_ratio": streams["A shared"].mean("ratio_served"),
+        "a_solo_j": a_solo_j,
+        "budget_j": budget_j,
+        "a_spent_j": tenants["a"]["spent_j"],
+    }
+
+
+@scenario(
+    "serve-isolation",
+    "a budgeted tenant is degraded, its neighbour's p95 and quality hold",
+)
+def scenario_serve_isolation(
+    *, small: bool = True, n_workers: int = 8
+) -> ScenarioReport:
+    iso = _isolation(
+        lambda tenants: TaskService(
+            _config(n_workers), tenants=tenants, max_batch=4
+        ),
+        small=small,
+        n_workers=n_workers,
+    )
+    ratio = iso["a_ratio"]
+    spent, budget, solo = iso["a_spent_j"], iso["budget_j"], iso["a_solo_j"]
+    checks = iso["checks"] + [
+        Check(
+            "B runs accurate: shared quality exactly the reference",
+            all(r.quality == 0.0 for r in iso["b_shared"]),
+        ),
+        Check(
+            "every B job executed (no cache artifact)",
+            all(
+                r.status == "executed"
+                for r in iso["b_solo"] + iso["b_shared"]
+            ),
+        ),
+        Check(
+            "A degraded under budget: mean served ratio in (0, 0.95)",
+            0.0 < ratio < 0.95,
+            f"mean ratio {ratio:.3f}",
+        ),
+        Check(
+            "A spent <= 1.15x budget and < 0.75x its solo price",
+            spent <= budget * 1.15 and spent < solo * 0.75,
+            f"{spent:.4g} J of {budget:.4g} J budget, "
+            f"{solo:.4g} J solo",
+        ),
+    ]
+    return ScenarioReport(
+        name="serve-isolation",
+        title="two tenants on one service",
+        frame=iso["frame"],
+        checks=checks,
+        lines=iso["lines"],
+    )
+
+
+@scenario(
+    "cluster-isolation",
+    "the two-tenant isolation band holds across 4 shards",
+)
+def scenario_cluster_isolation(
+    *, small: bool = True, n_workers: int = 8
+) -> ScenarioReport:
+    iso = _isolation(
+        lambda tenants: ClusterService(
+            _config(n_workers), tenants=tenants, cluster=4, max_batch=4
+        ),
+        small=small,
+        n_workers=n_workers,
+    )
+    ratio = iso["a_ratio"]
+    spent, budget, solo = iso["a_spent_j"], iso["budget_j"], iso["a_solo_j"]
+    checks = iso["checks"] + [
+        Check(
+            "A served at mean ratio in (0, 1]",
+            0.0 < ratio <= 1.0,
+            f"mean ratio {ratio:.3f}",
+        ),
+        Check(
+            "A's budget below its solo price",
+            budget < solo,
+            f"{budget:.4g} J < {solo:.4g} J",
+        ),
+    ]
+    return ScenarioReport(
+        name="cluster-isolation",
+        title="two tenants across 4 shards",
+        frame=iso["frame"],
+        checks=checks,
+        lines=iso["lines"]
+        + [
+            # Not gated: A's queue runs in about one round across the
+            # shards, before its governor can act on the spend.
+            f"A spent {spent:.4g} J against its {budget:.4g} J budget "
+            f"({spent / budget:.2f}x)",
+        ],
+    )
+
+
+# ----------------------------------------------------------------------
+# Cluster scaling and ledger parity
+# ----------------------------------------------------------------------
+def cluster_smoke_jobs(
+    waves: int, *, small: bool = False
+) -> list[JobRequest]:
+    """The smoke workload: ``2 * waves`` distinct-seed jobs from two
+    tenants (A: droppable Monte-Carlo batches, B: accurate Sobel)."""
+    samples, size = (600, 64) if small else (1200, 96)
+    return [
+        job
+        for w in range(waves)
+        for job in (
+            JobRequest(
+                tenant="a", kernel="mc-pi",
+                args={"blocks": 8, "samples": samples, "seed": 5000 + w},
+            ),
+            JobRequest(
+                tenant="b", kernel="sobel",
+                args={"size": size, "seed": 7000 + w},
+            ),
+        )
+    ]
+
+
+def run_cluster_scale(
+    shards: int,
+    waves: int,
+    *,
+    n_workers: int = 8,
+    small: bool = False,
+) -> dict:
+    """One scaling run: the smoke workload on ``shards`` shards.
+
+    Returns the cluster makespan (slowest shard's engine clock, virtual
+    seconds), jobs served, tenant A's ledger-settled lifetime spend and
+    the per-shard job spread.
+    """
+    jobs = cluster_smoke_jobs(waves, small=small)
+    service = ClusterService(
+        _config(n_workers),
+        tenants=(
+            f"standard:name='a',budget_j={SCALE_BUDGET_J},max_pending=4096",
+            "premium:name='b',max_pending=4096",
+        ),
+        cluster=shards,
+        max_batch=8,
+        compute_quality=False,
+    )
+    with service:
+        reports = [service.submit(job) for job in jobs]
+        while service.pending_jobs:
+            service.flush()
+        makespan = service.makespan_s
+        spread = {
+            w.index: w.service.tenants["a"].executed
+            + w.service.tenants["b"].executed
+            for w in service.shards
+        }
+    return {
+        "shards": shards,
+        "jobs": len(jobs),
+        "ok": sum(1 for r in reports if r.ok),
+        "makespan_s": makespan,
+        "jobs_per_s": len(jobs) / makespan if makespan else 0.0,
+        "a_spent_j": service.ledger.spent_j("a"),
+        "spread": spread,
+    }
+
+
+@scenario(
+    "cluster-scale",
+    ">=3x jobs/s at 4 shards, >=5x at 8, ledger parity <= 2%",
+)
+def scenario_cluster_scale(
+    *, small: bool = True, n_workers: int = 8
+) -> ScenarioReport:
+    waves = 80 if small else 120
+    runs = [
+        run_cluster_scale(shards, waves, n_workers=n_workers, small=small)
+        for shards in (1, 4, 8)
+    ]
+    base = runs[0]
+    frame = TraceFrame.from_records(
+        {
+            **{k: v for k, v in run.items() if k != "spread"},
+            "speedup": base["makespan_s"] / run["makespan_s"],
+            "min_shard_jobs": min(run["spread"].values()),
+            "parity_dev": abs(run["a_spent_j"] - base["a_spent_j"])
+            / base["a_spent_j"],
+        }
+        for run in runs
+    )
+    speedup = dict(zip(frame.col("shards"), frame.col("speedup")))
+    parity = frame.max("parity_dev")
+    checks = [
+        Check(
+            ">=3x jobs/s at 4 shards",
+            speedup[4] >= 3.0,
+            f"{speedup[4]:.2f}x",
+        ),
+        Check(
+            ">=5x jobs/s at 8 shards",
+            speedup[8] >= 5.0,
+            f"{speedup[8]:.2f}x",
+        ),
+        Check(
+            "every job served at every width",
+            frame.col("ok") == frame.col("jobs"),
+        ),
+        Check("every shard got work", frame.min("min_shard_jobs") > 0),
+        Check(
+            "A's ledger spend within 2% of the 1-shard figure",
+            parity <= LEDGER_PARITY,
+            f"worst deviation {parity:.3%}",
+        ),
+    ]
+    return ScenarioReport(
+        name="cluster-scale",
+        title="cluster scaling and ledger parity",
+        frame=frame,
+        checks=checks,
+        lines=[
+            f"smoke workload ({2 * waves} jobs) on 1, 4 and 8 shards, "
+            f"{n_workers} workers/shard, virtual-time makespans",
+        ],
+    )
+
+
+# ----------------------------------------------------------------------
+# Compile tier
+# ----------------------------------------------------------------------
+def _compile_stream(
+    kernel: str, args: dict, n_jobs: int, spec: str, n_workers: int
+) -> tuple[list, float, TaskService]:
+    """Serve one kernel's job stream; returns (reports, wall_s, svc)."""
+    svc = TaskService(
+        _config(n_workers, compile=spec), compute_quality=False
+    )
+    reports = []
+    t0 = time.perf_counter()
+    with svc:
+        for j in range(n_jobs):
+            # Distinct seeds: measure serving, not the result cache.
+            reports.append(
+                svc.submit(
+                    JobRequest(
+                        tenant="standard",
+                        kernel=kernel,
+                        args={**args, "seed": j},
+                        ratio=0.7,
+                    )
+                )
+            )
+            svc.flush()
+    return reports, time.perf_counter() - t0, svc
+
+
+def _same_answer(a, b) -> bool:
+    """Outputs (arrays or scalars) and admission counters identical."""
+    return bool(np.array_equal(a.output, b.output)) and (
+        a.tasks_total, a.accurate, a.approximate, a.dropped
+    ) == (b.tasks_total, b.accurate, b.approximate, b.dropped)
+
+
+@scenario(
+    "compile-parity",
+    "compile=specialize serves bit-identical answers to compile=off",
+)
+def scenario_compile_parity(
+    *, small: bool = True, n_workers: int = 8
+) -> ScenarioReport:
+    n_jobs = 6 if small else 12
+    size = 64 if small else 128
+    kernels = {
+        "sobel": {"size": size},
+        "dct": {"size": size},
+        "mc-pi": {"blocks": 16, "samples": 500 if small else 2000},
+    }
+    rows, checks = [], []
+    for kernel, args in kernels.items():
+        off, off_wall, _ = _compile_stream(
+            kernel, args, n_jobs, "off", n_workers
+        )
+        on, on_wall, svc = _compile_stream(
+            kernel, args, n_jobs, "specialize", n_workers
+        )
+        same = all(_same_answer(a, b) for a, b in zip(off, on))
+        rows.append(
+            {
+                "kernel": kernel,
+                "jobs_per_s_off": n_jobs / max(off_wall, 1e-12),
+                "jobs_per_s_on": n_jobs / max(on_wall, 1e-12),
+                "speedup": off_wall / max(on_wall, 1e-12),
+                "logical_tasks": sum(r.tasks_total for r in on),
+                "chunk_tasks": sum(
+                    meta.get("n_chunks", 0)
+                    for meta in svc.job_meta.values()
+                ),
+                "parity": same,
+            }
+        )
+        checks.append(
+            Check(
+                f"{kernel}: outputs and admission counters identical",
+                same,
+                f"{n_jobs} jobs",
+            )
+        )
+    cache = svc._specializer.stats()
+
+    # One profiled sobel stream for the per-callee timing lines.
+    clear_profile()
+    _, _, prof = _compile_stream(
+        "sobel", kernels["sobel"], 2, "specialize:profile=true", n_workers
+    )
+    profile: dict[str, list] = {}
+    for meta in prof.job_meta.values():
+        for callee, rec in meta.get("profile", {}).items():
+            agg = profile.setdefault(callee, [0, 0.0])
+            agg[0] += rec["calls"]
+            agg[1] += rec["total_s"]
+    return ScenarioReport(
+        name="compile-parity",
+        title="specialized vs interpreted serving",
+        frame=TraceFrame.from_records(rows),
+        checks=checks,
+        lines=[
+            f"{n_jobs} jobs per kernel, compile=specialize vs off "
+            "(wall-clock jobs/s and speedups are not gated)",
+            f"compiled-body cache: {cache.get('compiles', 0)} compiles, "
+            f"{cache.get('hits', 0)} hits",
+            "shallow profiler (specialize:profile=true):",
+        ]
+        + [
+            f"  {callee}: {calls} calls, {total * 1e3:.3f} ms, "
+            f"{total / calls * 1e6:.2f} us mean"
+            for callee, (calls, total) in sorted(profile.items())
+            if calls
         ],
     )

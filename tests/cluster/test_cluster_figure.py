@@ -1,65 +1,79 @@
-"""fig-cluster: scaling, ledger parity, and isolation gates (small)."""
+"""Cluster scaling, ledger parity and isolation gates (small), as the
+``cluster-scale`` and ``cluster-isolation`` scenarios.
+
+Each test reads the scenario's trace frame directly and also requires
+the matching ``Check`` row to pass.
+"""
 
 import pytest
 
-from repro.cluster.figure import (
-    PARITY_TOLERANCE,
-    cluster_smoke_jobs,
-    fig_cluster,
-    run_cluster_scale,
+from repro.serve.scenarios import (
+    ISOLATION_BANDS,
+    LEDGER_PARITY,
+    ScenarioReport,
+    run_scenarios,
 )
 
 
 @pytest.fixture(scope="module")
-def fig():
-    """One small fig-cluster run shared by the gate assertions."""
-    return fig_cluster(small=True)
+def scale() -> ScenarioReport:
+    """One small cluster-scale run shared by the gate assertions."""
+    return run_scenarios(["cluster-scale"], small=True, n_workers=16)[0]
 
 
-class TestSmokeWorkload:
-    def test_two_tenants_distinct_seeds(self):
-        jobs = cluster_smoke_jobs(5, small=True)
-        assert len(jobs) == 10
-        assert {j.tenant for j in jobs} == {"a", "b"}
-        seeds = [j.args["seed"] for j in jobs]
-        assert len(set(seeds)) == len(seeds)
+@pytest.fixture(scope="module")
+def iso() -> ScenarioReport:
+    return run_scenarios(["cluster-isolation"], small=True, n_workers=16)[0]
 
 
-class TestScaleRun:
-    def test_single_run_shape(self):
-        run = run_cluster_scale(2, 10, small=True)
-        assert run["shards"] == 2
-        assert run["ok"] == run["jobs"] == 20
-        assert run["makespan_s"] > 0
-        assert set(run["spread"]) == {0, 1}
-        assert sum(run["spread"].values()) == 20
+def check(report: ScenarioReport, prefix: str):
+    (found,) = [c for c in report.checks if c.name.startswith(prefix)]
+    return found
+
+
+def by(report: ScenarioReport, key: str, value: str) -> dict:
+    """Map the frame's ``key`` column to its ``value`` column."""
+    return dict(zip(report.frame.col(key), report.frame.col(value)))
 
 
 class TestGates:
-    def test_scaling_gates(self, fig):
-        # The ISSUE's acceptance bars on the deterministic virtual
-        # timeline: >=3x jobs/s at 4 shards, >=5x at 8.
-        assert fig.speedup(4) >= 3.0
-        assert fig.speedup(8) >= 5.0
+    def test_scaling_gates(self, scale):
+        # The acceptance bars on the deterministic virtual timeline:
+        # >=3x jobs/s at 4 shards, >=5x at 8.
+        speedup = by(scale, "shards", "speedup")
+        assert speedup[4] >= 3.0
+        assert speedup[8] >= 5.0
+        assert check(scale, ">=3x jobs/s at 4 shards").passed
+        assert check(scale, ">=5x jobs/s at 8 shards").passed
 
-    def test_every_job_served_at_every_width(self, fig):
-        for run in fig.scale_runs.values():
+    def test_every_job_served_at_every_width(self, scale):
+        for run in scale.frame.rows():
             assert run["ok"] == run["jobs"]
-            assert all(n > 0 for n in run["spread"].values())
+            assert run["min_shard_jobs"] > 0
+        assert check(scale, "every job served at every width").passed
+        assert check(scale, "every shard got work").passed
 
-    def test_ledger_parity_within_band(self, fig):
-        assert fig.parity_error <= PARITY_TOLERANCE
-        assert fig.parity_ok
+    def test_ledger_parity_within_band(self, scale):
+        assert scale.frame.max("parity_dev") <= LEDGER_PARITY
+        assert check(scale, "A's ledger spend within 2%").passed
 
-    def test_isolation_band(self, fig):
-        assert fig.isolated
-        assert fig.b_quality_delta == pytest.approx(0.0, abs=0.05)
+    def test_isolation_band(self, iso):
+        assert all(check(iso, band).passed for band in ISOLATION_BANDS)
+        quality = by(iso, "stream", "mean_quality")
+        assert quality["B shared"] - quality["B solo"] == pytest.approx(
+            0.0, abs=0.05
+        )
         # A was actually squeezed by its 60% budget...
-        assert 0.0 < fig.a_mean_served_ratio <= 1.0
-        assert fig.a_budget_j < fig.a_solo_energy_j
+        ratio = by(iso, "stream", "mean_ratio")
+        assert 0.0 < ratio["A shared"] <= 1.0
+        assert check(iso, "A served at mean ratio in (0, 1]").passed
+        assert check(iso, "A's budget below its solo price").passed
 
-    def test_render_mentions_verdicts(self, fig):
-        text = fig.render()
-        assert "ledger parity" in text
-        assert "PASS" in text
+    def test_render_mentions_verdicts(self, scale, iso):
+        text = scale.render()
+        assert "ledger spend" in text
+        assert "[PASS]" in text
+        assert "=> CONFORMS" in text
+        text = iso.render()
         assert "isolation" in text
+        assert "=> CONFORMS" in text

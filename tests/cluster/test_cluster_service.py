@@ -147,6 +147,21 @@ class TestServing:
             summary["spent_j"]
         )
 
+    def test_overspend_reports_over_budget(self):
+        # The whole queue runs in about one round across the shards,
+        # before any governor acts: cluster-wide spend overshoots the
+        # budget while some shard's lease still reads not-dry.  The
+        # summary must still say OVER.
+        tenants = ("standard:name='t',budget_j=0.0005,max_pending=256",)
+        with make_cluster(tenants=tenants) as service:
+            for s in range(16):
+                service.submit(mc_job(seed=s, samples=400))
+            while service.pending_jobs:
+                service.flush()
+            summary = service.tenant_summary("t")
+        assert summary["spent_j"] >= summary["budget_j"]
+        assert summary["over_budget"]
+
     def test_stats_shape(self):
         with make_cluster(shards=2) as service:
             service.submit(mc_job())

@@ -17,8 +17,8 @@ import pytest
 
 from repro.cluster import ClusterService, ClusterSpec
 from repro.config import RuntimeConfig
+from repro.harness.frames import percentile
 from repro.serve import ServeClient, ServeServer
-from repro.serve.figure import percentile
 
 N_JOBS = 500
 FAULTY_ENGINE = "faulty:fault_rate=0.05,protect_threshold=0.7,seed=11"

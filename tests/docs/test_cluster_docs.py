@@ -60,7 +60,6 @@ def test_api_reference_covers_cluster_modules():
         "repro.cluster.hashring",
         "repro.cluster.cache",
         "repro.cluster.ledger",
-        "repro.cluster.figure",
     ):
         assert f"::: {module}" in text
 
@@ -78,7 +77,7 @@ def test_cluster_page_mentions_the_moving_parts():
         "ClusterSpec",
         "HashRing",
         "EnergyLedger",
-        "fig-cluster",
+        "cluster-scale",
         "serve_cluster",
     ):
         assert anchor in text

@@ -60,7 +60,6 @@ def test_api_reference_covers_compiler_modules():
         "repro.compiler.directives",
         "repro.compiler.parser",
         "repro.compiler.lowering",
-        "repro.compiler.figure",
     ):
         assert f"::: {module}" in text
 
@@ -78,7 +77,7 @@ def test_compiler_page_mentions_the_load_bearing_names():
         "spawn_specialized",
         "SpecializedPlan",
         "specialize:profile=true",
-        "fig-compile",
+        "compile-parity",
         "compile_specialization",
     ):
         assert anchor in text

@@ -61,7 +61,6 @@ def test_api_reference_covers_serve_modules():
         "repro.serve.cache",
         "repro.serve.kernels",
         "repro.serve.client",
-        "repro.serve.figure",
     ):
         assert f"::: {module}" in text
 
@@ -77,7 +76,7 @@ def test_serve_page_mentions_the_front_doors():
     for anchor in (
         "LocalGateway",
         "ServeServer",
-        "fig-serve",
+        "serve-isolation",
         "--smoke",
         "cached-degraded",
     ):

@@ -3,7 +3,7 @@ conformance harness."""
 
 import pytest
 
-from repro.harness.frames import TraceFrame
+from repro.harness.frames import TraceFrame, percentile
 from repro.runtime.errors import ConfigError
 
 
@@ -128,3 +128,17 @@ class TestBridges:
         )
         out = f.render(max_rows=5)
         assert "more rows" in out
+
+
+class TestPercentile:
+    def test_nearest_rank(self):
+        values = list(range(1, 101))
+        assert percentile(values, 0.95) == 95
+        assert percentile(values, 1.0) == 100
+        assert percentile([7.0], 0.95) == 7.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="empty"):
+            percentile([], 0.5)
+        with pytest.raises(ValueError, match="q must be"):
+            percentile([1], 1.5)

@@ -8,6 +8,8 @@ from repro.serve.scenarios import (
     SCENARIOS,
     Check,
     ScenarioReport,
+    cluster_smoke_jobs,
+    run_cluster_scale,
     run_scenarios,
     scenario,
 )
@@ -19,6 +21,10 @@ EXPECTED = {
     "anytime-kmeans",
     "faults-under-serve",
     "faults-under-cluster",
+    "serve-isolation",
+    "cluster-isolation",
+    "cluster-scale",
+    "compile-parity",
 }
 
 
@@ -53,6 +59,41 @@ def test_scenario_conforms(name):
     for check in report.checks:
         assert check.passed, f"{name}: {check.name} — {check.detail}"
     assert "CONFORMS" in rendered
+
+
+@pytest.mark.parametrize(
+    "name", ["serve-isolation", "cluster-scale", "cluster-isolation"]
+)
+def test_scenario_deterministic_on_simulated_engine(name):
+    """Virtual-time scenarios reproduce bit-for-bit: identical frame
+    records and check details on a second run."""
+    first, second = (
+        run_scenarios([name], small=True, n_workers=8)[0]
+        for _ in range(2)
+    )
+    assert first.frame.to_records() == second.frame.to_records()
+    assert [(c.name, c.passed, c.detail) for c in first.checks] == [
+        (c.name, c.passed, c.detail) for c in second.checks
+    ]
+
+
+class TestSmokeWorkload:
+    def test_two_tenants_distinct_seeds(self):
+        jobs = cluster_smoke_jobs(5, small=True)
+        assert len(jobs) == 10
+        assert {j.tenant for j in jobs} == {"a", "b"}
+        seeds = [j.args["seed"] for j in jobs]
+        assert len(set(seeds)) == len(seeds)
+
+
+class TestScaleRun:
+    def test_single_run_shape(self):
+        run = run_cluster_scale(2, 10, small=True)
+        assert run["shards"] == 2
+        assert run["ok"] == run["jobs"] == 20
+        assert run["makespan_s"] > 0
+        assert set(run["spread"]) == {0, 1}
+        assert sum(run["spread"].values()) == 20
 
 
 class TestReportRendering:

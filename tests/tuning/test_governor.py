@@ -8,6 +8,8 @@ significance-agnostic drop baseline at equal energy.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import EnergyBudgetGovernor, RuntimeConfig, Scheduler
@@ -383,6 +385,22 @@ class TestWallClockBackends:
         report = sched.finish()
         assert sched.governor.ticks >= 1
         assert report.tasks_total == 200
+
+    def test_due_tick_fires_at_barrier_entry(self):
+        # Every task has finished before the barrier, so the wait loop
+        # never spins; the tick that fell due meanwhile must still fire.
+        sched = Scheduler(
+            policy="lqh",
+            n_workers=2,
+            engine="threaded",
+            governor="governor:budget_j=10.0,interval=0.001",
+        )
+        for i in range(4):
+            sched.spawn(_slow_noop, cost=TaskCost(200000.0, 20000.0))
+        time.sleep(0.1)
+        sched.taskwait()
+        assert sched.governor.ticks >= 1
+        assert sched.finish().tasks_total == 4
 
     def test_process_backend_ticks(self):
         sched = Scheduler(
