@@ -7,20 +7,16 @@ programming model.
 
 The fault machinery composes with the rest of the runtime rather than
 forking it: :class:`FaultySimulatedMachine` subclasses the simulated
-machine (so ticks, DVFS and the shared accounting core work
-unchanged), the ``"faulty"`` engine spec drops into any
+engine and overrides only how a body executes on a core (so ticks,
+DVFS and the shared accounting core work unchanged), the ``"faulty"``
+engine spec (that class) drops into any
 :class:`~repro.config.RuntimeConfig`, and
 :func:`faulty_scheduler` is a convenience front for the common case.
 Fault draws are deterministic per (worker, task, attempt) so
 unreliable-hardware experiments replay bit-identically.
 """
 
-from .engine import (
-    FaultAwareEngine,
-    FaultySimulatedMachine,
-    faulty_engine,
-    faulty_scheduler,
-)
+from .engine import FaultySimulatedMachine, faulty_scheduler
 from .model import FaultLog, FaultModel, FaultRecord
 
 __all__ = [
@@ -28,7 +24,5 @@ __all__ = [
     "FaultRecord",
     "FaultLog",
     "FaultySimulatedMachine",
-    "FaultAwareEngine",
-    "faulty_engine",
     "faulty_scheduler",
 ]

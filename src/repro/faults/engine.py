@@ -20,16 +20,13 @@ import time as _time
 from typing import Callable
 
 from ..registry import register, resolve
-from ..runtime.errors import SchedulerError
-from ..runtime.task import Task, TaskState
-from ..sim.machine import SimulatedMachine
 from ..runtime.engine import SimulatedEngine
+from ..runtime.errors import SchedulerError
+from ..runtime.task import ExecutionKind, Task
 from .model import FaultLog, FaultModel, FaultRecord
 
 __all__ = [
     "FaultySimulatedMachine",
-    "FaultAwareEngine",
-    "faulty_engine",
     "faulty_scheduler",
 ]
 
@@ -38,18 +35,42 @@ __all__ = [
 MAX_ATTEMPTS = 8
 
 
-class FaultySimulatedMachine(SimulatedMachine):
-    """A simulated machine whose designated cores drop task effects."""
+@register("engine", "faulty", "unreliable")
+class FaultySimulatedMachine(SimulatedEngine):
+    """A simulated engine whose designated cores drop task effects.
+
+    Registered as the ``"faulty"`` engine: the constructor takes the
+    standard engine wiring plus scalar knobs that build an ERSA-style
+    split machine (:meth:`FaultModel.split_machine`), so the
+    unreliable-hardware scenario is a plain engine spec, e.g.
+    ``engine="faulty:fault_rate=0.08,protect_threshold=0.7"``.
+    """
 
     def __init__(
         self,
-        *args,
-        fault_model: FaultModel | None = None,
+        n_workers: int,
+        machine_model,
+        cost_model,
+        policy,
+        on_task_finished: Callable[[Task, float], None],
+        stall_handler: Callable[[], bool] | None = None,
+        *,
+        unreliable_fraction: float = 0.5,
+        fault_rate: float = 0.05,
+        seed: int = 0,
         protect_threshold: float = 1.0,
-        **kwargs,
     ) -> None:
-        super().__init__(*args, **kwargs)
-        self.fault_model = fault_model or FaultModel()
+        super().__init__(
+            n_workers,
+            machine_model,
+            cost_model,
+            policy,
+            on_task_finished,
+            stall_handler,
+        )
+        self.fault_model = FaultModel.split_machine(
+            n_workers, unreliable_fraction, fault_rate, seed
+        )
         if not 0.0 <= protect_threshold <= 1.0:
             raise SchedulerError(
                 f"protect_threshold must be in [0, 1], got "
@@ -58,16 +79,9 @@ class FaultySimulatedMachine(SimulatedMachine):
         self.protect_threshold = protect_threshold
         self.fault_log = FaultLog()
 
-    def _start_task(self, worker: int, task: Task, now: float) -> None:
-        kind = self.policy.decide(task, worker)
-        overhead = self.policy.decide_overhead_const
-        if overhead is None:
-            overhead = self.policy.decide_overhead(task)
-
-        task.state = TaskState.RUNNING
-        task.worker = worker
-        task.t_started = now
-
+    def _execute(
+        self, worker: int, task: Task, kind: ExecutionKind, now: float
+    ) -> float:
         protected = task.significance >= self.protect_threshold
         attempts = 1
         key = task.group_seq if task.group_seq >= 0 else task.tid
@@ -111,89 +125,7 @@ class FaultySimulatedMachine(SimulatedMachine):
         base = self.cost_model.duration(
             task, kind, self.machine_model, measured_wall=host_dt
         )
-        duration = base * attempts + overhead * self._inv_ops
-        self.busy[worker] = True
-        self._idle.discard(worker)
-        self.events.push(
-            now + duration, self._finish_task, tag="finish", payload=task
-        )
-
-
-class FaultAwareEngine(SimulatedEngine):
-    """Drop-in engine exposing the faulty machine to the scheduler.
-
-    >>> model = FaultModel.split_machine(16, 0.5, fault_rate=0.05)
-    >>> engine = FaultAwareEngine.build(
-    ...     16, machine_model, cost_model, policy, on_finish,
-    ...     fault_model=model, protect_threshold=0.7)
-    >>> rt = Scheduler(policy=policy, n_workers=16, engine=engine)
-    """
-
-    def __init__(self, machine: FaultySimulatedMachine) -> None:
-        # Bypass SimulatedEngine.__init__: we received a built machine.
-        self.machine = machine
-
-    @classmethod
-    def build(
-        cls,
-        n_workers: int,
-        machine_model,
-        cost_model,
-        policy,
-        on_task_finished: Callable[[Task, float], None],
-        stall_handler: Callable[[], bool] | None = None,
-        fault_model: FaultModel | None = None,
-        protect_threshold: float = 1.0,
-    ) -> "FaultAwareEngine":
-        machine = FaultySimulatedMachine(
-            n_workers,
-            machine_model,
-            cost_model,
-            policy,
-            on_task_finished,
-            stall_handler,
-            fault_model=fault_model,
-            protect_threshold=protect_threshold,
-        )
-        return cls(machine)
-
-    @property
-    def fault_log(self) -> FaultLog:
-        return self.machine.fault_log  # type: ignore[attr-defined]
-
-
-@register("engine", "faulty", "unreliable")
-def faulty_engine(
-    n_workers: int,
-    machine_model,
-    cost_model,
-    policy,
-    on_task_finished: Callable[[Task, float], None],
-    stall_handler: Callable[[], bool] | None = None,
-    *,
-    unreliable_fraction: float = 0.5,
-    fault_rate: float = 0.05,
-    seed: int = 0,
-    protect_threshold: float = 1.0,
-) -> "FaultAwareEngine":
-    """Registry factory: an ERSA-style split machine from scalar knobs.
-
-    Makes the unreliable-hardware scenario a plain engine spec, e.g.
-    ``engine="faulty:fault_rate=0.08,protect_threshold=0.7"``.
-    """
-    model = FaultModel.split_machine(
-        n_workers, unreliable_fraction, fault_rate, seed
-    )
-    return FaultAwareEngine.build(
-        n_workers,
-        machine_model,
-        cost_model,
-        policy,
-        on_task_finished,
-        stall_handler,
-        fault_model=model,
-        protect_threshold=protect_threshold,
-    )
+        return base * attempts
 
 
 def faulty_scheduler(
@@ -218,7 +150,7 @@ def faulty_scheduler(
 
     # Two-phase wiring: the engine needs the scheduler's callbacks, the
     # scheduler needs the engine.  Build the scheduler with a plain
-    # engine first, then swap in the faulty machine reusing the same
+    # engine first, then swap in the faulty engine reusing the same
     # callbacks (the scheduler only ever talks to the Engine interface).
     rt = Scheduler(
         policy=policy,
@@ -227,15 +159,15 @@ def faulty_scheduler(
         cost_model=cm,
         engine="simulated",
     )
-    engine = FaultAwareEngine.build(
+    engine = FaultySimulatedMachine(
         n_workers,
         machine_model,
         cm,
         policy,
         rt._on_task_finished,
         rt._on_stall,
-        fault_model=fault_model,
         protect_threshold=protect_threshold,
     )
+    engine.fault_model = fault_model or FaultModel()
     rt.engine = engine
     return rt

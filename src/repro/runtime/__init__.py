@@ -3,12 +3,7 @@ policies, execution backends and the shared accounting core."""
 
 from .accounting import AccountingCore, build_run_report
 from .dependencies import DependenceTracker, DepStats
-from .engine import (
-    Engine,
-    ExecutionBackend,
-    SimulatedEngine,
-    ThreadedEngine,
-)
+from .engine import Engine, SimulatedEngine, ThreadedEngine
 from .process_engine import ProcessPoolEngine
 from .errors import (
     CompilerError,
@@ -59,7 +54,6 @@ __all__ = [
     "DependenceTracker",
     "DepStats",
     "Engine",
-    "ExecutionBackend",
     "SimulatedEngine",
     "ThreadedEngine",
     "ProcessPoolEngine",

@@ -1,9 +1,9 @@
 """Execution engines: how tasks actually run.
 
-One scheduler, interchangeable execution backends (DESIGN.md section 5):
+One scheduler, interchangeable execution backends (DESIGN.md section 5),
+all subclasses of :class:`Engine`:
 
-* :class:`SimulatedEngine` — the default.  Wraps
-  :class:`repro.sim.machine.SimulatedMachine`: N virtual cores under a
+* :class:`SimulatedEngine` — the default.  N virtual cores under a
   deterministic discrete-event clock.  Task bodies really execute (so
   results and quality metrics are genuine); durations come from the cost
   model; energy from the machine power model.  This engine reproduces
@@ -20,16 +20,17 @@ One scheduler, interchangeable execution backends (DESIGN.md section 5):
   into the master's dependence-release path.
 * ``sequential`` — a :class:`SimulatedEngine` with one worker; the
   reference semantics for debugging.
-* ``faulty`` (:mod:`repro.faults`) — a fault-injecting simulated
-  machine for the unreliable-hardware scenario.
+* ``faulty`` (:mod:`repro.faults`) — a fault-injecting
+  :class:`SimulatedEngine` for the unreliable-hardware scenario.
 
-Engines expose a deliberately narrow interface — the
-:class:`ExecutionBackend` protocol: ``enqueue``/``enqueue_many`` ready
-tasks, ``master_charge`` bookkeeping work, ``run_until`` a barrier
-predicate holds, ``finish`` the run.  All bookkeeping flows through one
-shared :class:`~repro.runtime.accounting.AccountingCore` per run
-(DESIGN.md section 6), which is what keeps report schemas identical
-across backends.
+Engines expose a deliberately narrow interface: ``enqueue``/
+``enqueue_many`` ready tasks, ``master_charge`` bookkeeping work,
+``run_until`` a barrier predicate holds, ``finish`` the run.  Every
+engine distributes tasks through one :class:`~repro.runtime.queues
+.WorkerQueues` fabric and records every observation in one shared
+:class:`~repro.runtime.accounting.AccountingCore` per run (DESIGN.md
+section 6), which is what keeps report schemas identical across
+backends.
 """
 
 from __future__ import annotations
@@ -37,105 +38,42 @@ from __future__ import annotations
 import abc
 import threading
 import time as _time
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Protocol,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Callable
 
 from ..registry import register
-from ..sim.machine import SimulatedMachine
+from ..sim.clock import VirtualClock
+from ..sim.events import EventQueue
 from ..sim.trace import ExecutionTrace, Segment
 from .accounting import AccountingCore, AccountingShard
 from .errors import SchedulerError
-from .queues import ShardedWorkerQueues
-from .task import Task, TaskState
+from .queues import QueueStats, WorkerQueues
+from .task import ExecutionKind, Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..energy.cost import CostModel
     from ..energy.machine_model import MachineModel
     from ..runtime.policies.base import Policy
-    from .queues import QueueStats
 
 __all__ = [
-    "ExecutionBackend",
     "Engine",
-    "WallClockTicks",
     "SimulatedEngine",
+    "WallClockEngine",
     "ThreadedEngine",
     "sequential_engine",
 ]
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """The structural contract between the scheduler and any backend.
-
-    :class:`Engine` is the convenience ABC implementing the shared
-    parts; third-party backends may instead satisfy this protocol
-    directly (it is ``runtime_checkable`` for duck-typed wiring).
-    """
-
-    def enqueue(self, task: Task, at: float | None = None) -> None:
-        """Accept one dependence-free task for execution."""
-        ...
-
-    def enqueue_many(
-        self, tasks: list[Task], at: float | None = None
-    ) -> None:
-        """Accept a batch of dependence-free tasks in one call."""
-        ...
-
-    def master_charge(self, work_units: float) -> None:
-        """Account master-side bookkeeping work."""
-        ...
-
-    @property
-    def master_time(self) -> float:
-        """The master thread's current (virtual or wall) time."""
-        ...
-
-    def set_tick(
-        self, interval: float, callback: Callable[[float], None]
-    ) -> None:
-        """Install a periodic ``callback(now)`` on the engine timeline."""
-        ...
-
-    def set_frequency_factor(
-        self, factor: float, at: float | None = None
-    ) -> None:
-        """Switch the (simulated) DVFS state from time ``at`` onward."""
-        ...
-
-    def run_until(
-        self, predicate: Callable[[], bool], description: str
-    ) -> float:
-        """Block until the barrier predicate holds; return the time."""
-        ...
-
-    def finish(self) -> tuple[ExecutionTrace, float]:
-        """Complete all work; return (trace, makespan)."""
-        ...
-
-    @property
-    def accounting(self) -> AccountingCore:
-        """The run's shared trace/energy/stats bookkeeping core."""
-        ...
-
-    @property
-    def n_workers(self) -> int: ...
-
-    @property
-    def queue_stats(self) -> "QueueStats": ...
-
-
 class Engine(abc.ABC):
-    """Base class for execution backends (see :class:`ExecutionBackend`).
+    """The contract between the scheduler and an execution backend.
 
-    Subclasses record every observation through :attr:`accounting`; the
-    default :meth:`enqueue_many` loops :meth:`enqueue`, and backends
-    with a cheaper batch admission path override it.
+    The constructor takes the standard engine wiring (the registry
+    factories all receive it), checks the worker count against the
+    machine, and builds the run's :class:`WorkerQueues` fabric and
+    :class:`AccountingCore`; ``n_workers``, ``queue_stats`` and
+    ``trace`` read from those two.  Subclasses provide admission,
+    master bookkeeping, ticks, barriers and shutdown, and keep
+    ``master_time`` — the master thread's current (virtual or wall)
+    time — readable.
     """
 
     #: Whether :meth:`set_frequency_factor` stretches task durations on
@@ -144,39 +82,51 @@ class Engine(abc.ABC):
     #: The governor uses this to de-scale busy-time observations.
     dvfs_scales_time: bool = False
 
+    master_time: float
+
+    def __init__(
+        self,
+        n_workers: int,
+        machine_model: "MachineModel",
+        cost_model: "CostModel",
+        policy: "Policy",
+        on_task_finished: Callable[[Task, float], None],
+        stall_handler: Callable[[], bool] | None = None,
+    ) -> None:
+        if n_workers > machine_model.n_cores:
+            raise SchedulerError(
+                f"{n_workers} workers exceed the machine's "
+                f"{machine_model.n_cores} cores"
+            )
+        self.machine_model = machine_model
+        self.cost_model = cost_model
+        self.policy = policy
+        self.on_task_finished = on_task_finished
+        self.stall_handler = stall_handler
+        self.queues = WorkerQueues(n_workers)
+        self.accounting = AccountingCore(n_workers)
+        policy.make_worker_state(n_workers)
+
     @abc.abstractmethod
     def enqueue(self, task: Task, at: float | None = None) -> None:
-        """Accept a dependence-free task for execution."""
+        """Accept one dependence-free task for execution."""
 
+    @abc.abstractmethod
     def enqueue_many(
         self, tasks: list[Task], at: float | None = None
     ) -> None:
-        """Accept a batch of ready tasks (default: one-by-one)."""
-        for task in tasks:
-            self.enqueue(task, at)
+        """Accept a batch of dependence-free tasks in one call."""
 
     @abc.abstractmethod
     def master_charge(self, work_units: float) -> None:
         """Account master-side bookkeeping work."""
 
-    @property
-    @abc.abstractmethod
-    def master_time(self) -> float:
-        """The master thread's current (virtual or wall) time."""
-
     # -- online control surface (the governor's actuators) ---------------
+    @abc.abstractmethod
     def set_tick(
         self, interval: float, callback: Callable[[float], None]
     ) -> None:
-        """Install a periodic ``callback(now)`` on the engine timeline.
-
-        Backends without a periodic-callback facility must say so
-        loudly — a governor silently never ticking would look like a
-        controller bug, not a backend limitation.
-        """
-        raise SchedulerError(
-            f"{type(self).__name__} does not support periodic ticks"
-        )
+        """Install a periodic ``callback(now)`` on the engine timeline."""
 
     def set_frequency_factor(
         self, factor: float, at: float | None = None
@@ -206,33 +156,358 @@ class Engine(abc.ABC):
     def finish(self) -> tuple[ExecutionTrace, float]:
         """Complete all work; return (trace, makespan)."""
 
+    # -- reporting -------------------------------------------------------
     @property
-    @abc.abstractmethod
-    def accounting(self) -> AccountingCore:
-        """The run's shared bookkeeping core."""
+    def n_workers(self) -> int:
+        return self.queues.n_workers
+
+    @property
+    def queue_stats(self) -> QueueStats:
+        return self.queues.stats
 
     @property
     def trace(self) -> ExecutionTrace:
         return self.accounting.trace
 
-    @property
-    @abc.abstractmethod
-    def n_workers(self) -> int: ...
 
-    @property
-    @abc.abstractmethod
-    def queue_stats(self): ...
+@register("engine", "simulated", "sim")
+class SimulatedEngine(Engine):
+    """Event-driven execution of the task stream on N virtual cores.
+
+    This is the substitution for the paper's 16-core Xeon testbed
+    (DESIGN.md section 2).  The *runtime logic* — per-worker queues,
+    round-robin issue, work stealing, policy decisions, dependence
+    release — is the production code from :mod:`repro.runtime`; only
+    the passage of time is virtual:
+
+    * the **master** timeline advances as the program spawns tasks (task
+      creation cost, policy buffering cost, GTB sort cost);
+    * **workers** are simulated cores that acquire tasks from the queue
+      fabric, execute the *real* Python body (so program outputs and
+      quality metrics are genuine), and occupy virtual time according
+      to the cost model;
+    * a :class:`~repro.sim.events.EventQueue` orders everything
+      deterministically.
+
+    Hot-path design (the event loop dominates simulated runs):
+
+    * events carry their operand in the event ``payload`` and a
+      two-argument bound-method ``action(payload, now)`` — no per-event
+      closure allocation;
+    * wake-ups are *coalesced*: only idle workers are woken, at most one
+      pending ``tryrun`` event per worker (``_wake_pending``), instead
+      of one event per (enqueue × worker);
+    * host wall-clock measurement around task bodies is skipped whenever
+      the cost model declares it unnecessary
+      (:meth:`~repro.energy.cost.CostModel.wants_measurement`).
+
+    Subclasses change how a body runs on a core by overriding
+    :meth:`_execute` (the fault-injecting engine does).
+    """
+
+    dvfs_scales_time = True
+
+    def __init__(
+        self,
+        n_workers: int,
+        machine_model: "MachineModel",
+        cost_model: "CostModel",
+        policy: "Policy",
+        on_task_finished: Callable[[Task, float], None],
+        stall_handler: Callable[[], bool] | None = None,
+    ) -> None:
+        super().__init__(
+            n_workers,
+            machine_model,
+            cost_model,
+            policy,
+            on_task_finished,
+            stall_handler,
+        )
+        self.clock = VirtualClock()
+        self.events = EventQueue()
+        self.busy: list[bool] = [False] * n_workers
+        #: The master thread's private timeline (spawning, buffering).
+        self.master_time = 0.0
+        #: Workers with no task in flight (wake candidates on enqueue).
+        self._idle: set[int] = set(range(n_workers))
+        #: Per-worker "a tryrun event is already queued" latch.
+        self._wake_pending: list[bool] = [False] * n_workers
+
+        # Precomputed hot-path constants: work-units -> seconds factor,
+        # the policy's decision table (bound methods + constant
+        # overheads) and the cost model's measurement requirement.
+        self._inv_ops = 1.0 / machine_model.ops_per_second
+        self._decide = policy.decide
+        self._decide_overhead = policy.decide_overhead
+        self._decide_overhead_const = policy.decide_overhead_const
+        self._wants_measurement = cost_model.wants_measurement
+        #: DVFS baseline: factors always scale the *nominal* model, so
+        #: repeated switches never compound.
+        self._nominal_model = machine_model
+        # Periodic-tick state (the governor's clock): interval, bound
+        # callback, and an "an event is queued" latch mirroring
+        # _wake_pending's coalescing discipline.
+        self._tick_interval = 0.0
+        self._tick_cb: Callable[[float], None] | None = None
+        self._tick_armed = False
+
+    # -- master-side operations ---------------------------------------
+    def master_charge(self, work_units: float) -> None:
+        """Advance the master timeline by ``work_units`` of bookkeeping."""
+        dt = work_units * self._inv_ops
+        self.master_time += dt
+        self.accounting.add_master_busy(dt)
+
+    def enqueue(self, task: Task, at: float | None = None) -> None:
+        """Schedule a ready task to enter the queue fabric at ``at``.
+
+        Defaults to the master's current time (master-issued tasks);
+        dependence-released tasks pass their releaser's finish time.
+        """
+        t = self.master_time if at is None else at
+        self.events.push(t, self._do_enqueue, tag="enqueue", payload=task)
+        self._arm_tick(t)
+
+    def enqueue_many(
+        self, tasks: list[Task], at: float | None = None
+    ) -> None:
+        """Batched :meth:`enqueue`: one event admits a whole task batch.
+
+        The batched-spawn fast path funnels here — a single heap push
+        and a single wake-up pass replace one event per task, which is
+        the dominant per-spawn cost on fine-grained streams.
+        """
+        t = self.master_time if at is None else at
+        self.events.push(
+            t, self._do_enqueue_many, tag="enqueue_many", payload=tasks
+        )
+        self._arm_tick(t)
+
+    # -- periodic ticks and DVFS (the governor's actuation surface) -----
+    def set_tick(
+        self, interval: float, callback: Callable[[float], None]
+    ) -> None:
+        """Install a periodic callback on the virtual timeline.
+
+        ``callback(now)`` fires every ``interval`` virtual seconds while
+        the machine has pending events; it re-arms lazily from the next
+        enqueue when the event queue drains, so ticks never keep an
+        otherwise-finished simulation alive (and never mask a genuine
+        stall from :meth:`run_until`).
+        """
+        if interval <= 0:
+            raise SchedulerError(
+                f"tick interval must be > 0, got {interval}"
+            )
+        self._tick_interval = interval
+        self._tick_cb = callback
+        self._arm_tick(self.master_time)
+
+    def _arm_tick(self, now: float) -> None:
+        if self._tick_cb is not None and not self._tick_armed:
+            self._tick_armed = True
+            self.events.push(
+                now + self._tick_interval,
+                self._fire_tick,
+                tag="tick",
+                payload=None,
+            )
+
+    def _fire_tick(self, _payload, now: float) -> None:
+        self._tick_armed = False
+        cb = self._tick_cb
+        if cb is not None:
+            cb(now)
+        # Re-arm only while real work remains queued: a tick must never
+        # be the event that keeps the queue non-empty.
+        if self.events:
+            self._arm_tick(now)
+
+    def set_frequency_factor(
+        self, factor: float, at: float | None = None
+    ) -> None:
+        """Online DVFS: run at ``factor`` × nominal frequency from ``at``.
+
+        Records the DVFS epoch (so energy integration bills the new
+        power point) and swaps the active machine model for the nominal
+        model rescaled by ``factor`` (throughput ~f, dynamic power ~f^3
+        — see :meth:`~repro.energy.machine_model.MachineModel
+        .scaled_frequency`), so subsequent task durations and master
+        charges stretch accordingly.  Tasks already in flight keep their
+        committed durations (frequency transitions do not retime issued
+        work, as on real hardware with in-flight instructions).
+        """
+        super().set_frequency_factor(
+            factor,
+            max(self.clock.now, self.master_time) if at is None else at,
+        )
+        model = (
+            self._nominal_model
+            if factor == 1.0
+            else self._nominal_model.scaled_frequency(factor)
+        )
+        self.machine_model = model
+        self._inv_ops = 1.0 / model.ops_per_second
+
+    def _wake_idle(self, now: float) -> None:
+        # Wake idle workers (owner or thief — acquire() resolves which),
+        # coalescing to at most one pending tryrun event per worker.
+        # Busy workers need no event: they re-poll when they finish.
+        if self._idle:
+            pending = self._wake_pending
+            push = self.events.push
+            for w in self._idle:
+                if not pending[w]:
+                    pending[w] = True
+                    push(now, self._try_run, tag="tryrun", payload=w)
+
+    def _do_enqueue(self, task: Task, now: float) -> None:
+        task.t_issued = now
+        self.queues.push(task)
+        self._wake_idle(now)
+
+    def _do_enqueue_many(self, tasks: list[Task], now: float) -> None:
+        push = self.queues.push
+        for task in tasks:
+            task.t_issued = now
+            push(task)
+        self._wake_idle(now)
+
+    # -- worker-side operations ------------------------------------------
+    def _try_run(self, worker: int, now: float) -> None:
+        self._wake_pending[worker] = False
+        if self.busy[worker]:
+            return
+        task = self.queues.acquire(worker)
+        if task is None:
+            return
+        self._start_task(worker, task, now)
+
+    def _start_task(self, worker: int, task: Task, now: float) -> None:
+        kind = self._decide(task, worker)
+        overhead = self._decide_overhead_const
+        if overhead is None:
+            overhead = self._decide_overhead(task)
+
+        task.state = TaskState.RUNNING
+        task.worker = worker
+        task.t_started = now
+
+        duration = (
+            self._execute(worker, task, kind, now)
+            + overhead * self._inv_ops
+        )
+        self.busy[worker] = True
+        self._idle.discard(worker)
+        self.events.push(
+            now + duration, self._finish_task, tag="finish", payload=task
+        )
+
+    def _execute(
+        self, worker: int, task: Task, kind: ExecutionKind, now: float
+    ) -> float:
+        """Run ``task``'s body as ``kind`` on ``worker`` at ``now``;
+        return the virtual seconds it occupies the core (excluding the
+        policy's decision overhead)."""
+        if self._wants_measurement(task):
+            host_t0 = _time.perf_counter()
+            task.execute(kind)
+            host_dt = _time.perf_counter() - host_t0
+            self.accounting.add_host_seconds(host_dt)
+        else:
+            task.execute(kind)
+            host_dt = None
+        return self.cost_model.duration(
+            task, kind, self.machine_model, measured_wall=host_dt
+        )
+
+    def _finish_task(self, task: Task, now: float) -> None:
+        worker = task.worker
+        self.busy[worker] = False
+        self._idle.add(worker)
+        task.state = TaskState.FINISHED
+        task.t_finished = now
+        assert task.decision is not None
+        self.accounting.record_task(
+            task, worker, task.t_started, now, task.decision
+        )
+        # Group bookkeeping + dependence release (may enqueue successors
+        # at `now`; their events sort after this one).
+        self.on_task_finished(task, now)
+        if not self._wake_pending[worker]:
+            self._wake_pending[worker] = True
+            self.events.push(now, self._try_run, tag="tryrun", payload=worker)
+
+    # -- event loop --------------------------------------------------------
+    def run_until(
+        self, predicate: Callable[[], bool], description: str = "barrier"
+    ) -> float:
+        """Pump events in time order until ``predicate()`` holds.
+
+        Stops at the first instant the condition is satisfied (leaving
+        unrelated future events queued, so other task groups keep
+        running "in the background" of subsequent program phases).  If
+        the event queue drains with the condition unsatisfied, the
+        stall handler gets one chance to produce work (e.g. flushing GTB
+        buffers); a second stall is a genuine deadlock.
+        """
+        stalled_once = False
+        events = self.events
+        pop = events.pop
+        advance = self.clock.advance_unchecked
+        while not predicate():
+            if not events:
+                if not stalled_once and self.stall_handler is not None:
+                    stalled_once = True
+                    if self.stall_handler():
+                        continue
+                raise SchedulerError(
+                    f"simulation stalled waiting for {description}: no "
+                    "events left but the wait condition is unsatisfied "
+                    "(buffered tasks never flushed, or a dependence "
+                    "cycle)"
+                )
+            ev = pop()
+            advance(ev.time)
+            ev.action(ev.payload, ev.time)
+        return self._block_master()
+
+    def finish(self) -> tuple[ExecutionTrace, float]:
+        """Run every remaining event in one batch (the final barrier);
+        the makespan covers both the workers and the master."""
+        events = self.events
+        pop = events.pop
+        advance = self.clock.advance_unchecked
+        while events:
+            ev = pop()
+            advance(ev.time)
+            ev.action(ev.payload, ev.time)
+        self._block_master()
+        return self.trace, max(self.trace.makespan, self.master_time)
+
+    def _block_master(self) -> float:
+        # The master was blocked at the barrier until this instant.
+        now = self.clock.now
+        if now > self.master_time:
+            self.master_time = now
+        return now
 
 
-class WallClockTicks:
-    """Shared periodic-tick state for the wall-clock engines.
+class WallClockEngine(Engine):
+    """Shared base of the engines that run bodies in real time.
 
-    Threaded and process backends both fire governor ticks from their
-    barrier wait loops; this mixin owns the deadline bookkeeping so the
-    two cannot drift apart.  Missed deadlines are *skipped*, not
-    replayed: after an idle stretch (e.g. a long spawn phase between
-    barriers) the next check fires exactly one catch-up tick and
-    fast-forwards the deadline — a burst of zero-width ticks would
+    Timestamps are host wall-clock seconds relative to engine
+    construction, so the resulting trace can be fed to the same energy
+    model (as an *estimate*; see module docstring).  Master bookkeeping
+    costs real time here; :meth:`master_charge` only records the
+    model-equivalent for reporting symmetry.
+
+    Governor ticks fire from the barrier wait loops, the master's
+    blocking point on these backends.  Missed deadlines are *skipped*,
+    not replayed: after an idle stretch (e.g. a long spawn phase
+    between barriers) the next check fires exactly one catch-up tick
+    and fast-forwards the deadline — a burst of zero-width ticks would
     bloat the governor history and stall barrier entry for nothing.
     """
 
@@ -240,11 +515,42 @@ class WallClockTicks:
     _tick_cb: Callable[[float], None] | None = None
     _tick_next = float("inf")
 
+    def __init__(
+        self,
+        n_workers: int,
+        machine_model: "MachineModel",
+        cost_model: "CostModel",
+        policy: "Policy",
+        on_task_finished: Callable[[Task, float], None],
+        stall_handler: Callable[[], bool] | None = None,
+    ) -> None:
+        super().__init__(
+            n_workers,
+            machine_model,
+            cost_model,
+            policy,
+            on_task_finished,
+            stall_handler,
+        )
+        self._t0 = _time.perf_counter()
+
+    def _now(self) -> float:
+        return _time.perf_counter() - self._t0
+
+    @property
+    def master_time(self) -> float:
+        return self._now()
+
+    def master_charge(self, work_units: float) -> None:
+        self.accounting.add_master_busy(
+            self.machine_model.duration_of(work_units)
+        )
+
     def set_tick(
         self, interval: float, callback: Callable[[float], None]
     ) -> None:
         """Periodic callback in wall seconds, fired from the barrier
-        wait loop (the master's blocking point on these backends)."""
+        wait loop."""
         if interval <= 0:
             raise SchedulerError(
                 f"tick interval must be > 0, got {interval}"
@@ -270,101 +576,19 @@ class WallClockTicks:
         return min(timeout, max(self._tick_next - now, 0.0))
 
 
-@register("engine", "simulated", "sim")
-class SimulatedEngine(Engine):
-    """Virtual-time engine over :class:`SimulatedMachine`."""
-
-    dvfs_scales_time = True
-
-    def __init__(
-        self,
-        n_workers: int,
-        machine_model: "MachineModel",
-        cost_model: "CostModel",
-        policy: "Policy",
-        on_task_finished: Callable[[Task, float], None],
-        stall_handler: Callable[[], bool] | None = None,
-    ) -> None:
-        self.machine = SimulatedMachine(
-            n_workers,
-            machine_model,
-            cost_model,
-            policy,
-            on_task_finished,
-            stall_handler,
-            accounting=AccountingCore(n_workers),
-        )
-
-    def enqueue(self, task: Task, at: float | None = None) -> None:
-        self.machine.enqueue(task, at)
-
-    def enqueue_many(
-        self, tasks: list[Task], at: float | None = None
-    ) -> None:
-        self.machine.enqueue_many(tasks, at)
-
-    def master_charge(self, work_units: float) -> None:
-        self.machine.master_charge(work_units)
-
-    @property
-    def master_time(self) -> float:
-        return self.machine.master_time
-
-    def set_tick(
-        self, interval: float, callback: Callable[[float], None]
-    ) -> None:
-        self.machine.set_tick(interval, callback)
-
-    def set_frequency_factor(
-        self, factor: float, at: float | None = None
-    ) -> None:
-        # The machine owns both knobs the switch turns: the active
-        # model (future durations) and the accounting epoch (energy).
-        self.machine.set_frequency_factor(factor, at)
-
-    def run_until(
-        self, predicate: Callable[[], bool], description: str
-    ) -> float:
-        return self.machine.run_until(predicate, description)
-
-    def finish(self) -> tuple[ExecutionTrace, float]:
-        self.machine.drain()
-        return self.machine.trace, self.machine.makespan
-
-    @property
-    def n_workers(self) -> int:
-        return self.machine.queues.n_workers
-
-    @property
-    def queue_stats(self):
-        return self.machine.queues.stats
-
-    @property
-    def accounting(self) -> AccountingCore:
-        # Delegated (not stored) so machine-swapping subclasses like
-        # FaultAwareEngine stay consistent with their machine's core.
-        return self.machine.accounting
-
-    @property
-    def trace(self) -> ExecutionTrace:
-        return self.machine.trace
-
-
 @register("engine", "threaded", "threads")
-class ThreadedEngine(WallClockTicks, Engine):
+class ThreadedEngine(WallClockEngine):
     """Real-thread engine sharing the queue fabric and policies.
 
     The scheduling hot path is lock-free (DESIGN.md section 12): worker
-    threads pop from :class:`ShardedWorkerQueues` and buffer finished-
-    task observations in per-worker :class:`AccountingShard` deltas
-    without touching the engine lock; the lock is taken only for the
-    completion handshake (dependence release, in-flight accounting) and
-    when a worker runs dry and must park on the condition variable.
+    threads pop from the :class:`WorkerQueues` deques and buffer
+    finished-task observations in per-worker :class:`AccountingShard`
+    deltas without touching the engine lock; the lock is taken only for
+    the completion handshake (dependence release, in-flight accounting)
+    and when a worker runs dry and must park on the condition variable.
     The master merges the shards into the shared trace at barrier
     points, so every aggregate view still reads one serialized
-    :class:`AccountingCore`.  Timestamps are wall-clock seconds
-    relative to engine construction, so the resulting trace can be fed
-    to the same energy model (as an *estimate*; see module docstring).
+    :class:`AccountingCore`.
     """
 
     _IDLE_WAIT_S = 0.05
@@ -378,20 +602,14 @@ class ThreadedEngine(WallClockTicks, Engine):
         on_task_finished: Callable[[Task, float], None],
         stall_handler: Callable[[], bool] | None = None,
     ) -> None:
-        if n_workers > machine_model.n_cores:
-            raise SchedulerError(
-                f"{n_workers} workers exceed the machine's "
-                f"{machine_model.n_cores} cores"
-            )
-        self.machine_model = machine_model
-        self.cost_model = cost_model
-        self.policy = policy
-        self.on_task_finished = on_task_finished
-        self.stall_handler = stall_handler
-
-        self.queues = ShardedWorkerQueues(n_workers)
-        self._accounting = AccountingCore(n_workers)
-        self._t0 = _time.perf_counter()
+        super().__init__(
+            n_workers,
+            machine_model,
+            cost_model,
+            policy,
+            on_task_finished,
+            stall_handler,
+        )
         # RLock: on_task_finished (held) may release successors, which
         # re-enters enqueue() on the same lock.
         self._lock = threading.RLock()
@@ -399,7 +617,6 @@ class ThreadedEngine(WallClockTicks, Engine):
         self._done_cv = threading.Condition(self._lock)
         self._stop = False
         self._inflight = 0
-        policy.make_worker_state(n_workers)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, args=(w,), daemon=True
@@ -410,9 +627,6 @@ class ThreadedEngine(WallClockTicks, Engine):
             t.start()
 
     # -- master side -----------------------------------------------------
-    def _now(self) -> float:
-        return _time.perf_counter() - self._t0
-
     def enqueue(self, task: Task, at: float | None = None) -> None:
         with self._work_cv:
             task.t_issued = self._now()
@@ -434,23 +648,12 @@ class ThreadedEngine(WallClockTicks, Engine):
             self._inflight += len(tasks)
             self._work_cv.notify_all()
 
-    def master_charge(self, work_units: float) -> None:
-        # Real bookkeeping already costs real time on this engine; we
-        # only record the model-equivalent for reporting symmetry.
-        self._accounting.add_master_busy(
-            self.machine_model.duration_of(work_units)
-        )
-
-    @property
-    def master_time(self) -> float:
-        return self._now()
-
     # -- worker side ----------------------------------------------------
     def _worker_loop(self, worker: int) -> None:
-        shard = self._accounting.shard(worker)
+        shard = self.accounting.shard(worker)
         acquire = self.queues.acquire
         while True:
-            # Fast path: pop/steal straight off the sharded deques —
+            # Fast path: pop/steal straight off the per-worker deques —
             # no lock while work is plentiful.
             task = acquire(worker)
             if task is None:
@@ -503,11 +706,11 @@ class ThreadedEngine(WallClockTicks, Engine):
                 # the trace) and before stall diagnosis.  The tick check
                 # runs at barrier entry too: if every task finished
                 # before the barrier, the due tick still fires.
-                self._accounting.merge_shards()
+                self.accounting.merge_shards()
                 self._maybe_tick(self._now())
                 if predicate():
                     break
-                if self._inflight == 0 and len(self.queues) == 0:
+                if self._inflight == 0 and self.queues.is_empty():
                     if not stalled_once and self.stall_handler is not None:
                         stalled_once = True
                         # Stall handler may spawn/flush, which re-enters
@@ -525,12 +728,12 @@ class ThreadedEngine(WallClockTicks, Engine):
                 self._done_cv.wait(
                     self._tick_clamped_wait(self._IDLE_WAIT_S, self._now())
                 )
-            self._accounting.merge_shards()
+            self.accounting.merge_shards()
         return self._now()
 
     def finish(self) -> tuple[ExecutionTrace, float]:
         self.run_until(
-            lambda: self._inflight == 0 and len(self.queues) == 0,
+            lambda: self._inflight == 0 and self.queues.is_empty(),
             "engine shutdown",
         )
         with self._work_cv:
@@ -540,20 +743,8 @@ class ThreadedEngine(WallClockTicks, Engine):
             t.join(timeout=5.0)
         # Workers are parked/joined: one final merge catches segments
         # buffered after the last barrier's merge point.
-        self._accounting.merge_shards()
+        self.accounting.merge_shards()
         return self.trace, max(self.trace.makespan, self._now())
-
-    @property
-    def accounting(self) -> AccountingCore:
-        return self._accounting
-
-    @property
-    def n_workers(self) -> int:
-        return self.queues.n_workers
-
-    @property
-    def queue_stats(self):
-        return self.queues.stats
 
 
 @register("engine", "sequential", "serial")

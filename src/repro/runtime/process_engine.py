@@ -77,8 +77,7 @@ except ImportError:  # pragma: no cover - numpy is a hard dep today
     _np = None
 
 from ..registry import register
-from .accounting import AccountingCore
-from .engine import Engine, WallClockTicks
+from .engine import WallClockEngine
 from .errors import SchedulerError
 from .memory import (
     ArrayExporter,
@@ -87,7 +86,6 @@ from .memory import (
     shared_array_pool,
 )
 from .pool import discard_shared_pool, shared_process_pool
-from .queues import WorkerQueues
 from .task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -290,7 +288,7 @@ def _apply_update(task: Task, slot: _Slot, update: tuple) -> None:
 
 
 @register("engine", "process", "procpool", "processes")
-class ProcessPoolEngine(WallClockTicks, Engine):
+class ProcessPoolEngine(WallClockEngine):
     """Execute task bodies in a ``ProcessPoolExecutor``.
 
     Parameters (after the standard engine wiring): ``max_procs`` caps
@@ -333,16 +331,14 @@ class ProcessPoolEngine(WallClockTicks, Engine):
         shm: bool = False,
         shm_min_bytes: int = 4096,
     ) -> None:
-        if n_workers > machine_model.n_cores:
-            raise SchedulerError(
-                f"{n_workers} workers exceed the machine's "
-                f"{machine_model.n_cores} cores"
-            )
-        self.machine_model = machine_model
-        self.cost_model = cost_model
-        self.policy = policy
-        self.on_task_finished = on_task_finished
-        self.stall_handler = stall_handler
+        super().__init__(
+            n_workers,
+            machine_model,
+            cost_model,
+            policy,
+            on_task_finished,
+            stall_handler,
+        )
         self.max_procs = max_procs or min(
             n_workers, os.cpu_count() or n_workers
         )
@@ -360,19 +356,12 @@ class ProcessPoolEngine(WallClockTicks, Engine):
                 shared_array_pool(pool_tag), min_bytes=shm_min_bytes
             )
 
-        self.queues = WorkerQueues(n_workers)
-        self._accounting = AccountingCore(n_workers)
-        self._t0 = _time.perf_counter()
         self._pool: ProcessPoolExecutor | None = None
         #: future -> (task, worker slot, start time, decided kind)
         self._pending: dict[Future, tuple[Task, int, float, Any]] = {}
         self._free = list(range(n_workers - 1, -1, -1))  # pop() -> slot 0
-        policy.make_worker_state(n_workers)
 
     # -- master side -----------------------------------------------------
-    def _now(self) -> float:
-        return _time.perf_counter() - self._t0
-
     def enqueue(self, task: Task, at: float | None = None) -> None:
         task.t_issued = self._now()
         self.queues.push(task)
@@ -387,17 +376,6 @@ class ProcessPoolEngine(WallClockTicks, Engine):
             task.t_issued = now
             push(task)
         self._dispatch()
-
-    def master_charge(self, work_units: float) -> None:
-        # As on the threaded engine: bookkeeping costs real time here;
-        # record the model-equivalent for reporting symmetry.
-        self._accounting.add_master_busy(
-            self.machine_model.duration_of(work_units)
-        )
-
-    @property
-    def master_time(self) -> float:
-        return self._now()
 
     # -- dispatch / harvest ----------------------------------------------
     def _pool_or_start(self) -> ProcessPoolExecutor:
@@ -420,7 +398,7 @@ class ProcessPoolEngine(WallClockTicks, Engine):
     def _dispatch(self) -> None:
         """Fill free worker slots from the queue fabric."""
         free = self._free
-        while free and len(self.queues):
+        while free and not self.queues.is_empty():
             worker = free.pop()
             task = self.queues.acquire(worker)
             if task is None:  # pragma: no cover - fabric said non-empty
@@ -518,7 +496,7 @@ class ProcessPoolEngine(WallClockTicks, Engine):
     ) -> None:
         task.state = TaskState.FINISHED
         task.t_finished = end
-        self._accounting.record_task(
+        self.accounting.record_task(
             task, worker, start, end, kind, host_s=host_s
         )
         self._free.append(worker)
@@ -547,7 +525,7 @@ class ProcessPoolEngine(WallClockTicks, Engine):
                     )
                 )
                 continue
-            if len(self.queues) == 0:
+            if self.queues.is_empty():
                 if not stalled_once and self.stall_handler is not None:
                     stalled_once = True
                     if self.stall_handler():
@@ -558,7 +536,7 @@ class ProcessPoolEngine(WallClockTicks, Engine):
         if (
             self._exporter is not None
             and not self._pending
-            and len(self.queues) == 0
+            and self.queues.is_empty()
         ):
             # Quiescent barrier: no task can still reference a
             # promotion's segment, so sync writable promotions back
@@ -568,7 +546,7 @@ class ProcessPoolEngine(WallClockTicks, Engine):
 
     def finish(self) -> tuple["ExecutionTrace", float]:
         self.run_until(
-            lambda: not self._pending and len(self.queues) == 0,
+            lambda: not self._pending and self.queues.is_empty(),
             "engine shutdown",
         )
         if self._pool is not None:
@@ -580,18 +558,6 @@ class ProcessPoolEngine(WallClockTicks, Engine):
         return self.trace, max(self.trace.makespan, self._now())
 
     # -- reporting ---------------------------------------------------------
-    @property
-    def accounting(self) -> AccountingCore:
-        return self._accounting
-
-    @property
-    def n_workers(self) -> int:
-        return self.queues.n_workers
-
-    @property
-    def queue_stats(self):
-        return self.queues.stats
-
     @property
     def data_plane_stats(self):
         """Byte accounting of the shm data plane (None when off)."""

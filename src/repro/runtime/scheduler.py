@@ -25,7 +25,7 @@ from ..energy.cost import CostModel
 from ..energy.machine_model import MachineModel
 from .accounting import build_run_report
 from .dependencies import DependenceTracker
-from .engine import ExecutionBackend
+from .engine import Engine
 from .errors import ConfigError, SchedulerError
 from .groups import GroupRegistry
 from .policies.base import Policy
@@ -64,8 +64,8 @@ class Scheduler:
         analytic when tasks carry costs, measured wall time otherwise).
     engine:
         ``"simulated"`` (default), ``"threaded"``, ``"process"``,
-        ``"sequential"``, or an :class:`~repro.runtime.engine
-        .ExecutionBackend` instance.
+        ``"sequential"``, or an :class:`~repro.runtime.engine.Engine`
+        instance.
     governor:
         Optional online energy controller
         (``"governor:budget_j=1.2,interval=0.001"`` or an
@@ -87,7 +87,7 @@ class Scheduler:
         n_workers: int | None = None,
         machine: MachineModel | str | None = None,
         cost_model: CostModel | str | None = None,
-        engine: str | ExecutionBackend | None = None,
+        engine: str | Engine | None = None,
         policy: Policy | str | None = None,
         governor: Any = None,
         *,
@@ -195,7 +195,7 @@ class Scheduler:
                 )
 
         self.policy.attach(self)
-        self.engine: ExecutionBackend = cfg.build_engine(
+        self.engine: Engine = cfg.build_engine(
             self.machine_model,
             self.cost_model,
             self.policy,

@@ -86,6 +86,10 @@ STREAM_MIN_RATIO = 0.1
 #: for LQH's per-worker histograms to warm up.
 DEFAULT_SERVE_CONFIG = RuntimeConfig(policy="gtb-max", n_workers=16)
 
+#: Longest request line the TCP gateway reads (asyncio's default
+#: stream limit, stated so the error frame can name it).
+_LINE_LIMIT = 2**16
+
 _job_ids = itertools.count(1)
 
 
@@ -1584,6 +1588,11 @@ def _gateway_service(service, kwargs: dict) -> ServiceProtocol:
     return service
 
 
+def _frame(response: dict) -> bytes:
+    """One JSON-lines protocol frame."""
+    return (json.dumps(response) + "\n").encode("utf-8")
+
+
 class LocalGateway:
     """Synchronous in-process facade over any :class:`ServiceProtocol`.
 
@@ -1694,7 +1703,7 @@ class ServeServer:
         )
         self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=_LINE_LIMIT
         )
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
@@ -1769,13 +1778,28 @@ class ServeServer:
     async def _handle(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit: the line's framing is lost,
+                    # so answer once, half-close, and discard the rest
+                    # of the input until the client closes — closing
+                    # with unread input would reset the connection and
+                    # could destroy the error frame in flight.
+                    writer.write(_frame({
+                        "ok": False,
+                        "error": "request line exceeds the "
+                        f"{_LINE_LIMIT}-byte limit",
+                    }))
+                    writer.write_eof()
+                    await writer.drain()
+                    while await reader.read(_LINE_LIMIT):
+                        pass
+                    break
                 if not line:
                     break
                 response = await self._dispatch(line)
-                writer.write(
-                    (json.dumps(response) + "\n").encode("utf-8")
-                )
+                writer.write(_frame(response))
                 await writer.drain()
         finally:
             writer.close()

@@ -1,8 +1,11 @@
-"""Discrete-event simulated multicore machine (testbed substitute)."""
+"""Discrete-event substrate of the simulated machine (testbed substitute).
+
+Virtual clock, event queue, topology and trace; the simulated engine
+that drives them is :class:`repro.runtime.engine.SimulatedEngine`.
+"""
 
 from .clock import VirtualClock
 from .events import Event, EventQueue
-from .machine import SimulatedMachine
 from .topology import Topology
 from .trace import ExecutionTrace, Segment
 
@@ -10,7 +13,6 @@ __all__ = [
     "VirtualClock",
     "Event",
     "EventQueue",
-    "SimulatedMachine",
     "Topology",
     "ExecutionTrace",
     "Segment",

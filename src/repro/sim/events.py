@@ -13,7 +13,7 @@ is unique, so comparison never reaches the non-orderable fields).  Event
 ordering used to dominate simulated-run profiles; see ``repro.bench``.
 
 The queue never *invokes* ``action`` itself — the driver popping events
-owns the calling convention.  :class:`~repro.sim.machine.SimulatedMachine`
+owns the calling convention.  :class:`~repro.runtime.engine.SimulatedEngine`
 pushes two-argument bound methods and calls ``action(payload, time)``
 (operand in the payload, no per-event closure); a standalone driver is
 free to push one-argument callables and call ``action(time)``.

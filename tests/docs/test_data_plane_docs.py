@@ -59,7 +59,7 @@ def test_api_reference_covers_memory_module():
 def test_design_doc_has_data_plane_section():
     text = (REPO_ROOT / "DESIGN.md").read_text()
     assert "## 12." in text
-    for anchor in ("ArrayRef", "promotion", "ShardedWorkerQueues",
+    for anchor in ("ArrayRef", "promotion", "WorkerQueues",
                    "AccountingShard", "TaskSlab"):
         assert anchor in text
 

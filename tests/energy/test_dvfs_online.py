@@ -22,7 +22,7 @@ from repro.energy import (
     energy_with_epochs,
     predicted_energy,
 )
-from repro.runtime.errors import EnergyModelError
+from repro.runtime.errors import EnergyModelError, SchedulerError
 from repro.runtime.task import ExecutionKind
 from repro.sim.trace import ExecutionTrace, Segment
 
@@ -315,3 +315,38 @@ class TestRuntimeConfigRoundTrip:
         assert slowed.energy.core_active_j == pytest.approx(
             expected_active, rel=0.01
         )
+
+
+class TestWallClockDvfs:
+    """Wall-clock engines cannot retime real execution: a switch only
+    records the epoch that bills the downclocked power point."""
+
+    @pytest.mark.parametrize("engine", ["threaded", "process"])
+    def test_switch_records_epoch(self, engine):
+        sched = Scheduler(policy="accurate", n_workers=2, engine=engine)
+        try:
+            engine = sched.engine
+            assert not engine.dvfs_scales_time
+            t0 = engine.master_time
+            engine.set_frequency_factor(0.75)  # at=None: wall-clock now
+            (first,) = engine.accounting.dvfs_epochs
+            assert first.factor == 0.75
+            assert t0 <= first.t <= engine.master_time
+            t = first.t + 0.25
+            engine.set_frequency_factor(0.5, at=t)
+            assert engine.accounting.dvfs_epochs == [
+                first, DvfsEpoch(t, 0.5)
+            ]
+        finally:
+            sched.finish()
+
+    @pytest.mark.parametrize("engine", ["threaded", "process"])
+    @pytest.mark.parametrize("factor", [0.0, -0.5])
+    def test_nonpositive_factor_raises(self, engine, factor):
+        sched = Scheduler(policy="accurate", n_workers=2, engine=engine)
+        try:
+            with pytest.raises(SchedulerError, match="frequency factor"):
+                sched.engine.set_frequency_factor(factor, at=0.1)
+            assert sched.engine.accounting.dvfs_epochs == []
+        finally:
+            sched.finish()

@@ -131,9 +131,18 @@ class TestEngineSharedCore:
         rt.finish()
 
     def test_simulated_engine_shares_core_with_machine(self):
-        rt = Scheduler(policy="accurate", n_workers=2)
-        assert rt.engine.accounting is rt.engine.machine.accounting
-        rt.finish()
+        # The simulated engine is the machine: its finish events (also
+        # on the fault-injecting subclass) record into the same core
+        # the scheduler's report reads.
+        for engine in ("simulated", "faulty"):
+            rt = Scheduler(policy="accurate", n_workers=2, engine=engine)
+            core = rt.engine.accounting
+            for _ in range(3):
+                rt.spawn(lambda: None, cost=COST)
+            report = rt.finish()
+            assert rt.engine.accounting is core
+            assert report.trace is core.trace
+            assert len(core.trace.segments) == report.tasks_total == 3
 
 
 def _double(x):

@@ -80,7 +80,7 @@ class TestSimulatedTicks:
         sched.finish()
 
     def test_faulty_engine_inherits_ticks(self):
-        """The fault-injecting machine subclasses SimulatedMachine, so
+        """The fault-injecting engine subclasses SimulatedEngine, so
         the governor clock works on the unreliable-hardware scenario."""
         sched = Scheduler(
             policy="accurate",
@@ -96,6 +96,9 @@ class TestSimulatedTicks:
 
 
 class TestWallClockTicks:
+    """Ticks of the wall-clock engines (:class:`~repro.runtime.engine
+    .WallClockEngine`), fired from their barrier wait loops."""
+
     def test_threaded_interval_honoured_below_idle_wait(self):
         """Ticks must fire at sub-50ms resolution (the old idle-wait
         granularity) while the master blocks at a barrier."""

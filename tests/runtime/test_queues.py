@@ -1,16 +1,22 @@
 """Unit tests for the work-sharing queue fabric."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.runtime.errors import SchedulerError
-from repro.runtime.queues import ShardedWorkerQueues, WorkerQueues
-from repro.runtime.task import Task, TaskState
+from repro.runtime.queues import WorkerQueues
+from repro.runtime.scheduler import Scheduler
+from repro.runtime.task import Task, TaskCost, TaskState
 
 
 def mk(i=0):
     return Task(fn=lambda: None, args=(i,))
+
+
+def _double(x):
+    return 2 * x
 
 
 class TestPush:
@@ -92,6 +98,27 @@ class TestPopAndSteal:
         q.acquire(0)
         assert q.stats.executed_per_worker[0] == 1
 
+    def test_discipline_round_robin_fifo_steal_after_thief(self):
+        q = WorkerQueues(3)
+        workers = [q.push(mk(i)) for i in range(6)]
+        assert workers == [0, 1, 2, 0, 1, 2]
+        a = q.pop_local(0)
+        assert a.args == (0,)            # FIFO
+        assert q.steal(0).args == (1,)   # first victim after thief
+        assert len(q) == 4
+        assert q.depth(1) == 1
+
+    def test_acquire_local_then_steal(self):
+        q = WorkerQueues(2)
+        local, remote = mk(1), mk(2)
+        q.push(local, worker=0)
+        q.push(remote, worker=1)
+        assert q.acquire(0) is local
+        assert q.acquire(0) is remote
+        s = q.stats
+        assert s.popped_local == 1 and s.steals == 1
+        assert s.executed_per_worker == [2, 0]
+
 
 class TestBookkeeping:
     def test_len_counts_all_queues(self):
@@ -121,9 +148,30 @@ class TestBookkeeping:
             q.push(mk())
         assert q.stats.pushed == 3
 
+    def test_stats_snapshot_conserves_tasks(self):
+        q = WorkerQueues(4)
+        for i in range(10):
+            q.push(mk(i))
+        q.pop_local(0)
+        q.steal(0)
+        drained = q.drain()
+        s = q.stats
+        assert s.pushed == 10
+        assert s.pushed == s.popped_local + s.steals + len(drained)
+        assert q.is_empty() and len(q) == 0
+
+    def test_stats_is_a_snapshot(self):
+        q = WorkerQueues(2)
+        q.push(mk())
+        before = q.stats
+        q.acquire(0)
+        assert before.popped_local == 0
+        assert before.executed_per_worker == [0, 0]
+        assert q.stats.popped_local == 1
+
 
 class TestHotPathInvariants:
-    """Fabric invariants after the O(1)-size/round-robin refactor."""
+    """Fabric invariants of the lock-free per-worker deques."""
 
     def test_live_size_matches_sum_of_depths(self):
         q = WorkerQueues(3)
@@ -195,68 +243,11 @@ class TestHotPathInvariants:
         assert q.pop_local(0) is b
         assert q.steal(1) is c
 
-
-class TestShardedFabric:
-    """:class:`ShardedWorkerQueues` keeps the exact WorkerQueues
-    discipline (round-robin push, FIFO pop, steal-after-thief) while
-    worker-side operations run lock-free (DESIGN.md section 12)."""
-
-    @pytest.mark.parametrize("make", [WorkerQueues, ShardedWorkerQueues])
-    def test_discipline_matches_locked_fabric(self, make):
-        q = make(3)
-        workers = [q.push(mk(i)) for i in range(6)]
-        assert workers == [0, 1, 2, 0, 1, 2]
-        a = q.pop_local(0)
-        assert a.args == (0,)            # FIFO
-        assert q.steal(0).args == (1,)   # first victim after thief
-        assert len(q) == 4
-        assert q.depth(1) == 1
-
-    def test_push_sets_queued_state_and_validates_worker(self):
-        q = ShardedWorkerQueues(2)
-        t = mk()
-        q.push(t)
-        assert t.state is TaskState.QUEUED
-        with pytest.raises(SchedulerError):
-            q.push(mk(), worker=5)
-        with pytest.raises(SchedulerError):
-            ShardedWorkerQueues(0)
-
-    def test_steal_ignores_own_shard(self):
-        q = ShardedWorkerQueues(3)
-        q.push(mk(), worker=1)
-        assert q.steal(1) is None
-        assert q.stats.failed_steals == 1
-        assert q.depth(1) == 1
-
-    def test_acquire_local_then_steal(self):
-        q = ShardedWorkerQueues(2)
-        local, remote = mk(1), mk(2)
-        q.push(local, worker=0)
-        q.push(remote, worker=1)
-        assert q.acquire(0) is local
-        assert q.acquire(0) is remote
-        s = q.stats
-        assert s.popped_local == 1 and s.steals == 1
-        assert s.executed_per_worker == [2, 0]
-
-    def test_stats_snapshot_conserves_tasks(self):
-        q = ShardedWorkerQueues(4)
-        for i in range(10):
-            q.push(mk(i))
-        q.pop_local(0)
-        q.steal(0)
-        drained = q.drain()
-        s = q.stats
-        assert s.pushed == 10
-        assert s.pushed == s.popped_local + s.steals + len(drained)
-        assert q.is_empty() and len(q) == 0
-
     def test_concurrent_acquire_consumes_each_task_once(self):
         # Real threads hammer the lock-free pop path: every task must
         # leave by exactly one worker, with no duplicates or losses.
         n_workers, n_tasks = 4, 2000
-        q = ShardedWorkerQueues(n_workers)
+        q = WorkerQueues(n_workers)
         tasks = [mk(i) for i in range(n_tasks)]
         for t in tasks:
             q.push(t)
@@ -276,14 +267,43 @@ class TestShardedFabric:
             threading.Thread(target=consume, args=(w,))
             for w in range(n_workers)
         ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-        stop.set()
+        # A short switch interval forces preemption inside pop/steal.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not any(th.is_alive() for th in threads)
         consumed = [t for per in got for t in per]
         assert len(consumed) == n_tasks
         assert {id(t) for t in consumed} == {id(t) for t in tasks}
         s = q.stats
         assert s.popped_local + s.steals == n_tasks
         assert sum(s.executed_per_worker) == n_tasks
+
+
+class TestFabricContractOnEveryEngine:
+    """Every engine runs its tasks through one :class:`WorkerQueues`:
+    each task enters once and leaves by exactly one pop or steal."""
+
+    @pytest.mark.parametrize("engine", ["simulated", "threaded", "process"])
+    def test_spawn_taskwait_conserves_tasks(self, engine):
+        rt = Scheduler(policy="accurate", n_workers=2, engine=engine)
+        handles = []
+        for _ in range(2):
+            handles += [
+                rt.spawn(_double, i, cost=TaskCost(10_000.0))
+                for i in range(12)
+            ]
+            rt.taskwait()
+        report = rt.finish()
+        assert [h.result for h in handles] == [2 * i for i in range(12)] * 2
+        s = report.queue_stats
+        assert s.pushed == s.popped_local + s.steals == report.tasks_total
+        assert report.tasks_total == 24
+        assert sum(s.executed_per_worker) == report.tasks_total

@@ -45,6 +45,7 @@ def gateway():
         asyncio.run_coroutine_threadsafe(server.close(), loop).result(30)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
+        loop.close()
         service.close()
 
 
@@ -162,6 +163,24 @@ class TestWireProtocol:
         import socket
 
         host, port, _, _ = gateway
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b'{"op": "ping"}\n')
+            line = sock.makefile("rb").readline()
+        assert json.loads(line) == {"ok": True, "pong": True}
+
+    def test_oversized_line_gets_error_frame_then_eof(self, gateway):
+        import socket
+
+        host, port, _, _ = gateway
+        pad = "x" * 70_000  # over the gateway's 64 KiB line limit
+        frame = json.dumps({"op": "ping", "pad": pad}).encode() + b"\n"
+        with socket.create_connection((host, port), timeout=10) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(frame)
+            reply = json.loads(stream.readline())
+            assert reply["ok"] is False
+            assert "65536" in reply["error"]
+            assert stream.read() == b""  # then a clean EOF
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall(b'{"op": "ping"}\n')
             line = sock.makefile("rb").readline()
