@@ -98,16 +98,6 @@ class TestPopAndSteal:
         q.acquire(0)
         assert q.stats.executed_per_worker[0] == 1
 
-    def test_discipline_round_robin_fifo_steal_after_thief(self):
-        q = WorkerQueues(3)
-        workers = [q.push(mk(i)) for i in range(6)]
-        assert workers == [0, 1, 2, 0, 1, 2]
-        a = q.pop_local(0)
-        assert a.args == (0,)            # FIFO
-        assert q.steal(0).args == (1,)   # first victim after thief
-        assert len(q) == 4
-        assert q.depth(1) == 1
-
     def test_acquire_local_then_steal(self):
         q = WorkerQueues(2)
         local, remote = mk(1), mk(2)
@@ -285,6 +275,53 @@ class TestHotPathInvariants:
         s = q.stats
         assert s.popped_local + s.steals == n_tasks
         assert sum(s.executed_per_worker) == n_tasks
+
+
+def _threaded_engine_fabric(n_workers):
+    """The fabric a stopped threaded engine owns: before the fabrics were
+    merged this was a separate sharded class."""
+    rt = Scheduler(policy="accurate", n_workers=n_workers, engine="threaded")
+    rt.finish()
+    return rt.engine.queues
+
+
+class TestShardedFabric:
+    """The threaded engine's fabric, once its own sharded class, keeps
+    the WorkerQueues discipline: round-robin push, FIFO pop, steal after
+    the thief, with lock-free worker-side operations."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [WorkerQueues, _threaded_engine_fabric],
+        ids=["WorkerQueues", "ShardedWorkerQueues"],
+    )
+    def test_discipline_matches_locked_fabric(self, make):
+        q = make(3)
+        assert isinstance(q, WorkerQueues)
+        workers = [q.push(mk(i)) for i in range(6)]
+        assert workers == [0, 1, 2, 0, 1, 2]
+        a = q.pop_local(0)
+        assert a.args == (0,)            # FIFO
+        assert q.steal(0).args == (1,)   # first victim after thief
+        assert len(q) == 4
+        assert q.depth(1) == 1
+
+    def test_push_sets_queued_state_and_validates_worker(self):
+        q = WorkerQueues(2)
+        t = mk()
+        q.push(t)
+        assert t.state is TaskState.QUEUED
+        with pytest.raises(SchedulerError):
+            q.push(mk(), worker=5)
+        with pytest.raises(SchedulerError):
+            WorkerQueues(0)
+
+    def test_steal_ignores_own_shard(self):
+        q = WorkerQueues(3)
+        q.push(mk(), worker=1)
+        assert q.steal(1) is None
+        assert q.stats.failed_steals == 1
+        assert q.depth(1) == 1
 
 
 class TestFabricContractOnEveryEngine:
